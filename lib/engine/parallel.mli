@@ -26,15 +26,6 @@ val default_jobs : unit -> int
     One domain is reserved for the caller, which also works as part
     of the pool. *)
 
-val tune_gc : ?minor_heap_words:int -> unit -> unit
-(** Apply the GC settings the simulation workload was measured to
-    prefer: [minor_heap_words] minor heap (default: the winner of the
-    bench [engine] target's minor-heap sweep, recorded in
-    [BENCH_engine.json]) and a looser [space_overhead].  Called
-    automatically in every domain the pool spawns; call it yourself
-    on the main domain before a long sequential run.  GC settings
-    never change simulation results — only wall-clock. *)
-
 (** The persistent domain pool behind {!map} / {!map_array}.
 
     Most callers never touch this module — they pass [~jobs] to the

@@ -78,9 +78,9 @@ val to_string : t -> string
 
     Mirrors [Obs.Config.set_default]: lets a harness thread a plan
     into every run started without an explicit [?faults] argument
-    (used by the bench identity check to push the empty plan through
-    an unmodified sweep pipeline).  Set it once before worker domains
-    spawn; it is read-only after that. *)
+    (the golden test uses it to push the empty plan through an
+    unmodified sweep pipeline).  Set it before fanning runs out
+    across domains, never while they run. *)
 
 val set_default : t option -> unit
 val default : unit -> t option

@@ -6,7 +6,7 @@
     costs the instrumented hot paths a single branch per hook.
 
     The process-wide default lets command-line front ends (wtcp,
-    bench) switch every subsequent run into checked mode without
+    bench/main.exe) switch every subsequent run into checked mode without
     threading a value through the experiment stack.  Set it once
     before fanning runs out across domains. *)
 

@@ -20,7 +20,7 @@ let () =
     | _ -> None)
 
 (* Process-lifetime counters.  Cumulative like the pool's: tests
-   measure deltas, benches reset. *)
+   and the benchmark measure deltas. *)
 let deadline_hits_total = Atomic.make 0
 let retries_total = Atomic.make 0
 let backoff_ms_total = Atomic.make 0

@@ -58,7 +58,7 @@ let set_loss_threshold host =
     Stdlib.max (2 * host.cfg.Tcp_config.mss) (flight_bytes host / 2)
 
 (* The float operation order below is load-bearing: the byte-identity
-   gate (bench [cc]/[engine] targets) pins Tahoe-via-Cc to the
+   gate (test/test_golden.ml) pins Tahoe-via-Cc to the
    pre-refactor packet schedule, and changing the order of the
    additions changes rounding. *)
 let grow_cwnd host =

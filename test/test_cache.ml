@@ -4,8 +4,9 @@
    store (corrupt/truncated/stale entries are misses, never wrong
    data), the cached sweep path (results byte-identical to uncached,
    memo dedup of repeated cells), verify mode as a determinism
-   oracle, and warm-vs-cold byte-identity of the fig7/fig10 CSVs at
-   jobs=1 and jobs=4.
+   oracle, and byte-identity of the fig7/fig10/fig11 CSVs cold, warm
+   from disk at jobs=1 and jobs=4, warm from the memo and under verify
+   mode.
 
    Cache mode is process-global, so every test that turns it on
    restores Off (the default) before returning. *)
@@ -526,6 +527,24 @@ let test_verify_detects_poison () =
     (Run.measurement_to_string verified);
   Alcotest.(check int) "counted ok" 1 (Cache.stats ()).Cache.verify_ok
 
+(* The scheme x cc cross table re-measures every (basic|ebsn) x cc
+   cell the cc ablation just measured: with a clean store those cells
+   come back from the in-process memo, not from a second simulation. *)
+let test_cc_table_reuses_cc_ablation () =
+  with_cache_dir @@ fun _dir ->
+  Cache.set_mode Cache.On;
+  ignore (Ablations.cc ~replications:1 ~jobs:2 ());
+  let after_cc = Cache.stats () in
+  ignore (Ablations.cc_table ~replications:1 ~jobs:2 ());
+  let after_table = Cache.stats () in
+  let shared_hits =
+    after_table.Cache.memo_hits - after_cc.Cache.memo_hits
+  in
+  Alcotest.(check bool) "cc ablation stored its cells" true
+    (after_cc.Cache.stores > 0);
+  Alcotest.(check int) "every stored cell served from the memo"
+    after_cc.Cache.stores shared_hits
+
 let test_cache_metrics_registry () =
   with_cache_dir @@ fun _dir ->
   Cache.set_mode Cache.On;
@@ -549,13 +568,17 @@ let test_cache_metrics_registry () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Figure CSVs: warm vs cold at jobs=1 and jobs=4                      *)
+(* Figure CSVs: cold, warm (disk at jobs=1 and jobs=4, memo), verify   *)
 (* ------------------------------------------------------------------ *)
 
 let fig7_csv ~jobs = Wan_sweep.to_csv (Fig7.compute ~replications:1 ~jobs ())
 
 let fig10_csv ~jobs =
   let basic, ebsn = Fig10.compute ~replications:1 ~jobs () in
+  Lan_sweep.to_csv [ basic; ebsn ]
+
+let fig11_csv ~jobs =
+  let basic, ebsn = Fig11.compute ~replications:1 ~jobs () in
   Lan_sweep.to_csv [ basic; ebsn ]
 
 let figs_identity name csv =
@@ -569,6 +592,8 @@ let figs_identity name csv =
     cold;
   Alcotest.(check bool) (name ^ ": cold run populated the store") true
     (after_cold.Cache.stores > 0);
+  Alcotest.(check int) (name ^ ": cold run stored every miss")
+    after_cold.Cache.misses after_cold.Cache.stores;
   Cache.memo_clear ();
   let warm1 = csv ~jobs:1 in
   Cache.memo_clear ();
@@ -582,10 +607,31 @@ let figs_identity name csv =
     (name ^ ": warm runs missed nothing")
     after_cold.Cache.misses final.Cache.misses;
   Alcotest.(check bool) (name ^ ": warm runs hit the disk tier") true
-    (final.Cache.disk_hits > 0)
+    (final.Cache.disk_hits > 0);
+  (* Same invocation again: every cell from the memo, none from disk. *)
+  Cache.reset_stats ();
+  let memo = csv ~jobs:4 in
+  let s = Cache.stats () in
+  Alcotest.(check string) (name ^ ": memo-warm byte-identical") reference memo;
+  Alcotest.(check (list int))
+    (name ^ ": memo-warm served by the memo alone")
+    [ 0; 0 ] [ s.Cache.disk_hits; s.Cache.misses ];
+  Alcotest.(check bool) (name ^ ": memo hits") true (s.Cache.memo_hits > 0);
+  (* Verify mode re-simulates every hit and compares it byte for byte. *)
+  Cache.set_mode Cache.Verify;
+  Cache.memo_clear ();
+  Cache.reset_stats ();
+  let verified = csv ~jobs:4 in
+  let s = Cache.stats () in
+  Alcotest.(check string) (name ^ ": verify replay byte-identical") reference
+    verified;
+  Alcotest.(check int) (name ^ ": no verify divergence") 0 s.Cache.verify_fail;
+  Alcotest.(check bool) (name ^ ": every hit verified") true
+    (s.Cache.verify_ok > 0)
 
 let test_fig7_warm_cold () = figs_identity "fig7" fig7_csv
 let test_fig10_warm_cold () = figs_identity "fig10" fig10_csv
+let test_fig11_warm_cold () = figs_identity "fig11" fig11_csv
 
 (* ------------------------------------------------------------------ *)
 
@@ -632,6 +678,8 @@ let () =
             test_verify_detects_poison;
           Alcotest.test_case "engine.cache.* metrics export" `Quick
             test_cache_metrics_registry;
+          Alcotest.test_case "cc table reuses cc ablation cells" `Slow
+            test_cc_table_reuses_cc_ablation;
         ] );
       ( "figures",
         [
@@ -639,5 +687,7 @@ let () =
             test_fig7_warm_cold;
           Alcotest.test_case "fig10 warm vs cold, jobs=1 and jobs=4" `Slow
             test_fig10_warm_cold;
+          Alcotest.test_case "fig11 warm vs cold, jobs=1 and jobs=4" `Slow
+            test_fig11_warm_cold;
         ] );
     ]

@@ -127,6 +127,16 @@ let test_csv_byte_identical () =
   Alcotest.(check string) "sweep CSV byte-identical at jobs=4" reference
     (csv 4)
 
+(* fig11 is the one figure of the old parallel battery whose CSV has
+   no pinned digest (test_golden pins fig7 and fig10): its jobs=1 and
+   jobs=2 renderings must still agree byte for byte. *)
+let test_fig11_csv_byte_identical () =
+  let csv jobs =
+    let basic, ebsn = Fig11.compute ~replications:2 ~jobs () in
+    Lan_sweep.to_csv [ basic; ebsn ]
+  in
+  Alcotest.(check string) "fig11 CSV byte-identical at jobs=2" (csv 1) (csv 2)
+
 (* ------------------------------------------------------------------ *)
 (* The persistent pool: reuse, metrics, exceptions, shutdown           *)
 (* ------------------------------------------------------------------ *)
@@ -277,6 +287,7 @@ let () =
           Alcotest.test_case "wan measurements" `Quick test_wan_determinism;
           Alcotest.test_case "lan measurements" `Quick test_lan_determinism;
           Alcotest.test_case "sweep csv" `Quick test_csv_byte_identical;
+          Alcotest.test_case "fig11 csv" `Slow test_fig11_csv_byte_identical;
         ] );
       ( "pool",
         [

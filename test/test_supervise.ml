@@ -353,6 +353,7 @@ let test_campaign_resume_identity () =
 
 let test_campaign_forced_deadline () =
   with_dirs @@ fun ~store ~manifests ->
+  let before = Supervisor.stats () in
   let r =
     Campaigns.run ~store_dir:store ~manifest_dir:manifests
       ~sabotage:
@@ -361,8 +362,15 @@ let test_campaign_forced_deadline () =
         { Campaigns.default_options with Campaigns.retries = 2; backoff_ms = 1.0 }
       (chaos_kind 4)
   in
+  let after = Supervisor.stats () in
   Alcotest.(check int) "one quarantined" 1 r.Campaigns.quarantined;
   Alcotest.(check bool) "campaign still ok" true r.Campaigns.ok;
+  Alcotest.(check bool) "every attempt hit the deadline" true
+    (after.Supervisor.deadline_hits - before.Supervisor.deadline_hits >= 2);
+  Alcotest.(check bool) "retried before quarantine" true
+    (after.Supervisor.retries - before.Supervisor.retries >= 1);
+  Alcotest.(check bool) "backed off before the retry" true
+    (after.Supervisor.backoff_ms - before.Supervisor.backoff_ms > 0);
   Alcotest.(check bool) "headline reports it" true
     (let rec contains i =
        i + 13 <= String.length r.Campaigns.rendered
@@ -370,6 +378,90 @@ let test_campaign_forced_deadline () =
           || contains (i + 1))
      in
      contains 0)
+
+let same_report ~reference label r =
+  Alcotest.(check string) (label ^ ": rendered identical")
+    reference.Campaigns.rendered r.Campaigns.rendered;
+  Alcotest.(check bool) (label ^ ": json identical") true
+    (reference.Campaigns.json = r.Campaigns.json)
+
+(* Interrupted at jobs=2 and resumed at jobs=2, the campaign matches
+   the uninterrupted jobs=1 reference; resuming the finished campaign
+   again simulates nothing, and a verify-mode resume re-simulates
+   every restored cell without a divergence. *)
+let test_campaign_warm_and_verify_resume () =
+  with_dirs @@ fun ~store ~manifests ->
+  let opts = Campaigns.default_options in
+  let resume = { opts with Campaigns.resume = true } in
+  let run ?wave_size ?should_stop ~jobs options =
+    Campaigns.run ~jobs ?wave_size ?should_stop ~store_dir:store
+      ~manifest_dir:manifests ~options (chaos_kind 4)
+  in
+  let reference = run ~jobs:1 opts in
+  rm_rf store;
+  let same = same_report ~reference in
+  let interrupted =
+    run ~jobs:2 ~wave_size:2
+      ~should_stop:(fun ~completed -> completed >= 2)
+      opts
+  in
+  Alcotest.(check bool) "interrupted at jobs=2" true
+    interrupted.Campaigns.interrupted;
+  let resumed = run ~jobs:2 resume in
+  Alcotest.(check bool) "resumed some cells" true
+    (resumed.Campaigns.resumed > 0);
+  same "resume at jobs=2" resumed;
+  let warm = run ~jobs:1 resume in
+  Alcotest.(check int) "warm resume simulates nothing" 0
+    warm.Campaigns.completed;
+  same "warm resume" warm;
+  Fun.protect
+    ~finally:(fun () ->
+      Cache.set_mode Cache.Off;
+      Cache.reset_stats ())
+    (fun () ->
+      Cache.reset_stats ();
+      Cache.set_mode Cache.Verify;
+      let verified = run ~jobs:1 resume in
+      let s = Cache.stats () in
+      same "verify-mode resume" verified;
+      Alcotest.(check (list int))
+        "every restored cell verified, none diverged" [ 4; 0 ]
+        [ s.Cache.verify_ok; s.Cache.verify_fail ])
+
+(* A worker killed mid-cell is retried transparently, and a
+   checkpoint poisoned right after its flush is healed by the resume:
+   both reports match an unsabotaged run. *)
+let test_campaign_sabotage_recovers () =
+  with_dirs @@ fun ~store ~manifests ->
+  let opts =
+    { Campaigns.default_options with Campaigns.backoff_ms = 1.0 }
+  in
+  let run ?sabotage options =
+    Campaigns.run ?sabotage ~store_dir:store ~manifest_dir:manifests
+      ~options (chaos_kind 4)
+  in
+  let reference = run opts in
+  let same = same_report ~reference in
+  rm_rf store;
+  let killed =
+    run
+      ~sabotage:{ Supervisor.no_sabotage with Supervisor.kill_cell = Some 0 }
+      opts
+  in
+  Alcotest.(check int) "killed cell not quarantined" 0
+    killed.Campaigns.quarantined;
+  same "killed worker" killed;
+  rm_rf store;
+  ignore
+    (run
+       ~sabotage:
+         { Supervisor.no_sabotage with Supervisor.poison_cell = Some 0 }
+       opts);
+  let healed = run { opts with Campaigns.resume = true } in
+  Alcotest.(check int) "poisoned cell re-simulated" 1
+    healed.Campaigns.completed;
+  same "healed resume" healed
 
 let test_compare_campaign_runs () =
   with_dirs @@ fun ~store ~manifests ->
@@ -466,6 +558,10 @@ let () =
             test_campaign_resume_identity;
           Alcotest.test_case "forced deadline quarantines" `Slow
             test_campaign_forced_deadline;
+          Alcotest.test_case "warm and verify-mode resume" `Slow
+            test_campaign_warm_and_verify_resume;
+          Alcotest.test_case "kill and poison sabotage recover" `Slow
+            test_campaign_sabotage_recovers;
           Alcotest.test_case "supervised compare report" `Slow
             test_compare_campaign_runs;
           qc qcheck_kill_resume_identity;
