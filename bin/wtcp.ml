@@ -372,9 +372,6 @@ let print_engine_stats outcome =
   Printf.printf
     "cleanup:    %d dead nodes dropped lazily, %d compaction sweeps\n"
     qs.Event_queue.dead_drops qs.Event_queue.compactions;
-  Printf.printf
-    "calendar:   %d near-horizon adds, %d bucket pops, %d window rebases\n"
-    qs.Event_queue.near_adds qs.Event_queue.near_pops qs.Event_queue.rebases;
   let ts = outcome.Wiring.timer_stats in
   Printf.printf
     "timers:     %d arms (%d fused), %d lazy cancels, %d fires (%d stale), %d \

@@ -1,17 +1,11 @@
 (** Pending-event set for the discrete-event simulator.
 
-    Two tiers behind one interface: a calendar-style sliding window of
-    unsorted buckets absorbs near-horizon events (frame airtimes, ARQ
-    ack timeouts and retry backoffs — an O(1) append and a one-bucket
-    scan instead of heap sifts), and a struct-of-arrays 4-ary min-heap
-    holds everything beyond the window (coarse TCP tick timers).  Pops
-    compare the bucket tier's minimum against the heap root by exact
-    (time, insertion order) key, so the pop sequence is the unique
-    total order regardless of which tier a node landed in.
-    Cancellation is O(1) (lazy deletion); dead entries are dropped
-    when they surface at the heap root or are crossed by a bucket
-    scan, and swept wholesale whenever live entries fall below half
-    the total occupancy, so occupancy stays O(live entries) even under
+    A struct-of-arrays 4-ary min-heap keyed by (time, insertion
+    order), so the pop sequence is that unique total order: equal-time
+    events pop first-in first-out.  Cancellation is O(1) (lazy
+    deletion); dead entries are dropped when they surface at the root,
+    and swept wholesale whenever live entries fall below half the
+    occupancy, so occupancy stays O(live entries) even under
     cancel-heavy load.  Payload slots are recycled through a free
     pool: steady-state scheduling allocates nothing on the minor
     heap. *)
@@ -53,10 +47,9 @@ val is_live : 'a t -> handle -> bool
 
 val peek_time : 'a t -> Simtime.t option
 (** Time of the earliest live event, if any.  Performs amortised
-    cleanup: cancelled entries that have surfaced at the heap root or
-    sit in a scanned-over bucket are removed (counted in
-    [dead_drops]), so a call may mutate internal layout — never the
-    live contents or pop order. *)
+    cleanup: cancelled entries that have surfaced at the heap root are
+    removed (counted in [dead_drops]), so a call may mutate internal
+    layout — never the live contents or pop order. *)
 
 val next_time_ns : 'a t -> int
 (** Allocation-free {!peek_time}: the earliest live event's time in
@@ -74,10 +67,10 @@ val take_exn : 'a t -> 'a
     @raise Invalid_argument when no live event is pending. *)
 
 val occupancy : 'a t -> int
-(** Physical nodes currently held across both tiers,
-    cancelled-but-not-yet-dropped included.  After every [add],
-    [cancel] and [pop] this is at most [max (2 * length t) 64]; the
-    cancel-heavy regression test in test/ asserts that bound. *)
+(** Physical heap nodes currently held, cancelled-but-not-yet-dropped
+    included.  After every [add], [cancel] and [pop] this is at most
+    [max (2 * length t) 64]; the cancel-heavy regression test in test/
+    asserts that bound. *)
 
 (** {2 Observability} *)
 
@@ -88,18 +81,18 @@ type stats = {
   max_size : int;
       (** high-water mark of total occupancy, cancelled included *)
   dead_drops : int;
-      (** cancelled nodes dropped lazily: at the heap root or during a
-          bucket scan by {!pop} / {!peek_time}, or swept by a
-          compaction pass *)
+      (** cancelled nodes dropped lazily: at the heap root by {!pop} /
+          {!peek_time}, or swept by a compaction pass *)
   compactions : int;  (** whole-queue sweeps of cancelled nodes *)
   recycled : int;  (** adds served from the slot free pool *)
-  near_adds : int;  (** adds that landed in the near-horizon buckets *)
-  near_pops : int;  (** pops served from the near-horizon buckets *)
-  rebases : int;  (** times the bucket window slid to a new base *)
+  near_adds : int;  (** always 0; see [near_pops] *)
+  near_pops : int;
+      (** always 0: the queue is one heap, with no near-horizon tier
+          to serve adds or pops.  Both fields stay because the
+          benchmark's per-layer report reads them. *)
 }
 
 val stats : 'a t -> stats
 (** Lifetime counters (always maintained; a handful of integer writes
     per operation).  Identities: [adds = pops + cancels + length t],
-    [dead_drops <= cancels], [near_adds <= adds] and
-    [near_pops <= pops]. *)
+    [dead_drops <= cancels]. *)

@@ -533,9 +533,6 @@ let run ?obs ?faults (scenario : Scenario.t) =
       c "engine.queue.dead_drops" qs.Event_queue.dead_drops;
       c "engine.queue.compactions" qs.Event_queue.compactions;
       c "engine.queue.recycled" qs.Event_queue.recycled;
-      c "engine.queue.near_adds" qs.Event_queue.near_adds;
-      c "engine.queue.near_pops" qs.Event_queue.near_pops;
-      c "engine.queue.rebases" qs.Event_queue.rebases;
       (* Soft-timer churn: the TCP retransmission timer plus every ARQ
          entry timer, so cancel-fusion efficacy is visible per run. *)
       let timers name (tc : Soft_timer.counters) =

@@ -254,12 +254,18 @@ let test_queue_cancel_heavy_bounded () =
 
 (* Model check: the heap against a naive sorted list, under
    interleaved add/pop/cancel.  [add_w] and [cancel_w] are percentage
-   weights (pop takes the rest).  Checks pop order, length, the
-   occupancy bound and the stats identities after every operation. *)
-let prop_queue_model ~name ~add_w ~cancel_w =
+   weights (pop takes the rest); times are drawn from 0..[max_time]
+   ns.  With [take], every other pop goes through the simulator's
+   [next_time_ns] + [take_exn] pair instead of [pop], and [take_exn]
+   on an empty queue must raise [Invalid_argument].  Checks pop order,
+   length, the occupancy bound and the stats identities after every
+   operation. *)
+let prop_queue_model ?(max_time = 1023) ?(take = false) ~name ~add_w
+    ~cancel_w () =
   QCheck2.Test.make ~name ~count:150
     QCheck2.Gen.(
-      list_size (int_range 0 400) (pair (int_range 0 99) (int_range 0 1023)))
+      list_size (int_range 0 400)
+        (pair (int_range 0 99) (int_range 0 max_time)))
     (fun ops ->
       let q = Event_queue.create () in
       (* Reference: (time, order, value) sorted by (time, order). *)
@@ -277,6 +283,28 @@ let prop_queue_model ~name ~add_w ~cancel_w =
         model := go !model
       in
       let ok = ref true in
+      let empty_take_raises () =
+        match Event_queue.take_exn q with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      (* Next (time ns, value), or [None] once the queue is empty. *)
+      let pops = ref 0 in
+      let pop_one () =
+        incr pops;
+        if take && !pops land 1 = 0 then begin
+          let tn = Event_queue.next_time_ns q in
+          if tn <> Int.min_int then Some (tn, Event_queue.take_exn q)
+          else begin
+            if not (empty_take_raises ()) then ok := false;
+            None
+          end
+        end
+        else
+          Option.map
+            (fun (pt, v) -> (Simtime.to_ns pt, v))
+            (Event_queue.pop q)
+      in
       let agree () =
         ok :=
           !ok
@@ -307,7 +335,7 @@ let prop_queue_model ~name ~add_w ~cancel_w =
                live := List.filter (fun (o', _) -> o' <> o) l;
                model := List.filter (fun (_, o', _) -> o' <> o) !model
            else
-             match (Event_queue.pop q, !model) with
+             match (pop_one (), !model) with
              | None, [] -> ()
              | Some (pt, v), (mt, mo, mv) :: rest ->
                model := rest;
@@ -315,20 +343,25 @@ let prop_queue_model ~name ~add_w ~cancel_w =
                | Some h -> spent := h :: !spent
                | None -> ());
                live := List.filter (fun (o', _) -> o' <> mo) !live;
-               if Simtime.to_ns pt <> mt || v <> mv then ok := false
+               if pt <> mt || v <> mv then ok := false
              | _ -> ok := false);
           agree ())
         ops;
       (* Remaining events must drain in model order. *)
       let rec drain () =
-        match (Event_queue.pop q, !model) with
+        match (pop_one (), !model) with
         | None, [] -> ()
         | Some (pt, v), (mt, _, mv) :: rest ->
           model := rest;
-          if Simtime.to_ns pt <> mt || v <> mv then ok := false else drain ()
+          if pt <> mt || v <> mv then ok := false else drain ()
         | _ -> ok := false
       in
       drain ();
+      (* Drained: both pop paths must now report the queue empty. *)
+      ok :=
+        !ok && Event_queue.pop q = None
+        && Event_queue.next_time_ns q = Int.min_int
+        && empty_take_raises ();
       let s = Event_queue.stats q in
       !ok
       && s.Event_queue.adds
@@ -338,14 +371,21 @@ let prop_queue_model ~name ~add_w ~cancel_w =
 
 let prop_queue_model_mixed =
   prop_queue_model ~name:"queue matches sorted-list model (mixed ops)"
-    ~add_w:45 ~cancel_w:20
+    ~add_w:45 ~cancel_w:20 ()
 
 let prop_queue_model_cancel_heavy =
   (* Of the events that leave the queue, >90% leave by cancellation:
      the lazy-deletion, generation-recycling and compaction paths
      dominate. *)
   prop_queue_model ~name:"queue matches sorted-list model (>90% cancels)"
-    ~add_w:47 ~cancel_w:49
+    ~add_w:47 ~cancel_w:49 ()
+
+let prop_queue_model_take =
+  (* The simulator's hot-loop pop path at the time scale of TCP tick
+     timers (0-10 s). *)
+  prop_queue_model ~max_time:10_000_000_000 ~take:true
+    ~name:"queue matches sorted-list model (10 s span, take_exn)"
+    ~add_w:45 ~cancel_w:20 ()
 
 let prop_queue_matches_sort =
   QCheck2.Test.make ~name:"event queue pops in stable sorted order" ~count:200
@@ -658,6 +698,7 @@ let () =
           qc prop_queue_matches_sort;
           qc prop_queue_model_mixed;
           qc prop_queue_model_cancel_heavy;
+          qc prop_queue_model_take;
         ] );
       ( "soft_timer",
         [
