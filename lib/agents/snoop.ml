@@ -86,7 +86,9 @@ let local_rto t state =
     match state.srtt with
     | None -> Simtime.span_to_sec t.cfg.local_rto_initial
     | Some srtt ->
-      Stdlib.max (2.0 *. srtt) (Simtime.span_to_sec t.cfg.local_rto_min)
+      let doubled = 2.0 *. srtt
+      and least = Simtime.span_to_sec t.cfg.local_rto_min in
+      if doubled >= least then doubled else least
   in
   Simtime.span_sec (base *. state.rto_scale)
 
@@ -117,7 +119,8 @@ and on_local_timeout t state =
   (match Hashtbl.find_opt state.cache state.last_ack with
   | Some entry when entry.local_retx < t.cfg.max_local_retransmits ->
     retransmit t state entry;
-    state.rto_scale <- Stdlib.min 64.0 (state.rto_scale *. 2.0)
+    let doubled = state.rto_scale *. 2.0 in
+    state.rto_scale <- (if 64.0 <= doubled then 64.0 else doubled)
   | Some _ | None -> ());
   arm_timer t state
 

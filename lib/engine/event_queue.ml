@@ -147,7 +147,7 @@ let alloc_slot t value =
     if t.pool_len = capacity then begin
       if capacity >= max_slots then
         failwith "Event_queue: more than 2^25 concurrently pending events";
-      let capacity' = Stdlib.min max_slots (Stdlib.max 16 (2 * capacity)) in
+      let capacity' = Int.min max_slots (Int.max 16 (2 * capacity)) in
       t.values <- resize t.values t.pool_len capacity' value;
       t.gens <- resize t.gens t.pool_len capacity' 0;
       t.free_next <- resize t.free_next t.pool_len capacity' 0
@@ -207,7 +207,7 @@ let sift_down t i time order id =
     if c >= size then moving := false
     else begin
       (* Smallest of the up-to-four children. *)
-      let last = Stdlib.min (c + 3) (size - 1) in
+      let last = Int.min (c + 3) (size - 1) in
       let m = ref c in
       let mt = ref (Array.unsafe_get times c) in
       let mo = ref (Array.unsafe_get orders c) in
@@ -239,7 +239,7 @@ let sift_down t i time order id =
 let grow_heap t =
   let capacity = Array.length t.times in
   if t.size = capacity then begin
-    let capacity' = Stdlib.max 16 (2 * capacity) in
+    let capacity' = Int.max 16 (2 * capacity) in
     t.times <- resize t.times t.size capacity' 0;
     t.orders <- resize t.orders t.size capacity' 0;
     t.ids <- resize t.ids t.size capacity' 0
@@ -273,7 +273,11 @@ let compact t =
   done;
   t.compactions <- t.compactions + 1
 
-let compact_min = 64
+(* Below this occupancy the heap is never swept.  It sits near the live
+   set of a real cell (a WAN cell holds ~6 live events at a pop): a
+   higher floor lets cancelled far-future timers, which never surface
+   at the root, pad the heap that every sift walks. *)
+let compact_min = 8
 
 let maybe_compact t =
   if t.size >= compact_min && 2 * t.live_count < t.size then compact t

@@ -69,8 +69,8 @@ val take_exn : 'a t -> 'a
 val occupancy : 'a t -> int
 (** Physical heap nodes currently held, cancelled-but-not-yet-dropped
     included.  After every [add], [cancel] and [pop] this is at most
-    [max (2 * length t) 64]; the cancel-heavy regression test in test/
-    asserts that bound. *)
+    [max (2 * length t) 8], 8 being the compaction floor; the queue
+    tests in test/ assert that bound. *)
 
 (** {2 Observability} *)
 

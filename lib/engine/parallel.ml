@@ -1,4 +1,4 @@
-let default_jobs () = Stdlib.max 1 (Domain.recommended_domain_count () - 1)
+let default_jobs () = Int.max 1 (Domain.recommended_domain_count () - 1)
 
 (* GC settings applied once in every worker domain the pool spawns:
    the stdlib-default 256 kword nursery (the simulator allocates about
@@ -92,7 +92,7 @@ module Pool = struct
      the real trigger), so the growth-failure path is exercised by
      injecting the raise just before it. *)
   let fail_spawns = Atomic.make 0
-  let fail_spawns_for_tests n = Atomic.set fail_spawns (Stdlib.max 0 n)
+  let fail_spawns_for_tests n = Atomic.set fail_spawns (Int.max 0 n)
 
   (* Called with [creation_m] held, between batches.  All pool state
      ([helpers], [helper_count], the spawn counter) is updated only
@@ -129,7 +129,7 @@ module Pool = struct
 
   let get ?jobs () =
     let jobs =
-      match jobs with Some j -> Stdlib.max 1 j | None -> default_jobs ()
+      match jobs with Some j -> Int.max 1 j | None -> default_jobs ()
     in
     Mutex.lock creation_m;
     let pool =
@@ -184,10 +184,10 @@ module Pool = struct
     else begin
       let limit =
         match jobs with
-        | Some j -> Stdlib.max 1 (Stdlib.min j (pool.helper_count + 1))
+        | Some j -> Int.max 1 (Int.min j (pool.helper_count + 1))
         | None -> pool.helper_count + 1
       in
-      let limit = Stdlib.min limit n in
+      let limit = Int.min limit n in
       if limit <= 1 then Array.map f input
       else begin
         Atomic.incr batches_total;
@@ -213,8 +213,8 @@ module Pool = struct
         (* Participation tokens cap helper involvement, so a
            [jobs:2] batch on a wider pool really uses one helper. *)
         let tokens = Atomic.make (limit - 1) in
-        let initial_chunk = Stdlib.max 1 (n / (limit * 64)) in
-        let max_chunk = Stdlib.max 1 (n / (4 * limit)) in
+        let initial_chunk = Int.max 1 (n / (limit * 64)) in
+        let max_chunk = Int.max 1 (n / (4 * limit)) in
         let steal_loop ~helper =
           let est = ref 0.0 in
           let continue = ref true in
@@ -222,14 +222,14 @@ module Pool = struct
             let k =
               if !est <= 0.0 then initial_chunk
               else
-                Stdlib.max 1
-                  (Stdlib.min max_chunk
+                Int.max 1
+                  (Int.min max_chunk
                      (int_of_float (chunk_target_sec /. !est)))
             in
             let lo = Atomic.fetch_and_add next k in
             if lo >= n then continue := false
             else begin
-              let hi = Stdlib.min n (lo + k) in
+              let hi = Int.min n (lo + k) in
               let len = hi - lo in
               Atomic.incr chunks_total;
               if helper then Atomic.incr steals_total;
@@ -317,10 +317,10 @@ let map_array ~jobs f input =
      unobservable).  [Pool.submit_map] applies no such cap, for
      callers (tests, benchmarks) that want the pool machinery
      exercised regardless of the host. *)
-  let jobs = Stdlib.min jobs (Domain.recommended_domain_count ()) in
+  let jobs = Int.min jobs (Domain.recommended_domain_count ()) in
   if n <= 1 || jobs <= 1 || Domain.DLS.get in_worker then Array.map f input
   else
-    let jobs = Stdlib.min jobs n in
+    let jobs = Int.min jobs n in
     Pool.submit_map ~jobs (Pool.get ~jobs ()) f input
 
 let map ~jobs f = function

@@ -136,7 +136,7 @@ let poisson t ~mean =
        scale and Knuth's product would underflow. *)
     let u1 = 1.0 -. uniform t and u2 = uniform t in
     let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
-    Stdlib.max 0 (int_of_float (Float.round (mean +. (z *. sqrt mean))))
+    Int.max 0 (int_of_float (Float.round (mean +. (z *. sqrt mean))))
   end
   else begin
     let limit = exp (-.mean) in

@@ -116,31 +116,41 @@ let run_invariants t =
   in
   Array.iter (fun f -> f ()) checks
 
+let check_budget t =
+  if t.executed_total >= t.budget then
+    raise (Budget_exhausted { budget = t.budget; executed = t.executed_total })
+
+(* Execute the root event, which a [next_time_ns] has just found live
+   at [tn]: [take_exn] finds it there at once, so no
+   [Some (time, value)] pair is ever allocated on this path. *)
+let exec t tn =
+  let time = Simtime.of_ns tn in
+  if t.checked && Simtime.(time < t.clock) then
+    Obs.Invariant.fail ~name:"engine.time_monotonic"
+      (Printf.sprintf "event at %dns before clock %dns" tn
+         (Simtime.to_ns t.clock));
+  let f = Event_queue.take_exn t.queue in
+  t.clock <- time;
+  f ();
+  t.executed_total <- t.executed_total + 1;
+  if t.checked then run_invariants t
+
 let step t =
   (* The budget check costs one comparison per event and raises
      {e before} popping, so an exhausted run leaves the queue intact:
      the deadline is a property of how much work was allowed, not of
      which event happened to be next. *)
-  if t.executed_total >= t.budget then
-    raise (Budget_exhausted { budget = t.budget; executed = t.executed_total });
-  (* Unboxed pop: [next_time_ns] leaves the next live event at the
-     heap root, so the [take_exn] right after it finds it at once — no
-     [Some (time, value)] pair is ever allocated on this path. *)
+  check_budget t;
   let tn = Event_queue.next_time_ns t.queue in
-  if tn = min_int then false
-  else begin
-    let time = Simtime.of_ns tn in
-    if t.checked && Simtime.(time < t.clock) then
-      Obs.Invariant.fail ~name:"engine.time_monotonic"
-        (Printf.sprintf "event at %dns before clock %dns" tn
-           (Simtime.to_ns t.clock));
-    let f = Event_queue.take_exn t.queue in
-    t.clock <- time;
-    f ();
-    t.executed_total <- t.executed_total + 1;
-    if t.checked then run_invariants t;
-    true
-  end
+  tn <> min_int && (exec t tn; true)
+
+(* [step] bounded by a horizon (ns).  One peek serves both the horizon
+   test and the pop; the budget check follows it, so an exhausted
+   budget raises only when a live event is due, before it pops. *)
+let step_until t horizon =
+  let tn = Event_queue.next_time_ns t.queue in
+  tn <> min_int && tn <= horizon
+  && (check_budget t; exec t tn; true)
 
 let add_finalizer t f = t.finalizers_rev <- f :: t.finalizers_rev
 
@@ -154,22 +164,14 @@ let run_finalizers t =
 let run ?until ?max_events t =
   t.stopping <- false;
   let executed = ref 0 in
-  let within_budget () =
-    match max_events with None -> true | Some n -> !executed < n
-  in
-  let within_horizon () =
-    match until with
-    | None -> true
-    | Some horizon ->
-      let next = Event_queue.next_time_ns t.queue in
-      next <> min_int && next <= Simtime.to_ns horizon
-  in
+  let max_events = Option.value max_events ~default:max_int in
+  let horizon = match until with None -> max_int | Some h -> Simtime.to_ns h in
+  let bounded = Option.is_some until in
   (try
      while
        (not t.stopping)
-       && within_budget ()
-       && within_horizon ()
-       && step t
+       && !executed < max_events
+       && if bounded then step_until t horizon else step t
      do
        incr executed
      done
@@ -191,12 +193,9 @@ let run ?until ?max_events t =
      advance the clock to the horizon so callers can schedule relative
      to the requested stop time.  [stop] and an exhausted [max_events]
      with work still pending leave the clock at the last event. *)
-  match until with
-  | Some horizon when Simtime.(t.clock < horizon) && not t.stopping ->
-    if
-      let next = Event_queue.next_time_ns t.queue in
-      next = min_int || next > Simtime.to_ns horizon
-    then t.clock <- horizon
-  | _ -> ()
+  if bounded && Simtime.to_ns t.clock < horizon && not t.stopping then begin
+    let next = Event_queue.next_time_ns t.queue in
+    if next = min_int || next > horizon then t.clock <- Simtime.of_ns horizon
+  end
 
 let stop t = t.stopping <- true

@@ -100,7 +100,7 @@ let inflight_find t seq =
 let inflight_add t entry =
   if t.inflight_len = Array.length t.inflight then begin
     let bigger =
-      Array.make (2 * Stdlib.max 1 t.inflight_len) t.dummy_entry
+      Array.make (2 * Int.max 1 t.inflight_len) t.dummy_entry
     in
     Array.blit t.inflight 0 bigger 0 t.inflight_len;
     t.inflight <- bigger

@@ -23,7 +23,7 @@ type t = {
      bucket cell per frame received. *)
   mutable seen : int array;
   deliver : Frame.payload -> unit;
-  buffer : (int, Frame.payload) Hashtbl.t;  (* out-of-order frames *)
+  buffer : Frame.payload Int_table.t;  (* out-of-order frames *)
   mutable expected : int;  (* next link seq to deliver *)
   mutable hole_timer : Simulator.event option;
   mutable received_count : int;
@@ -44,7 +44,7 @@ let create sim ?send_ack ?on_link_ack ?resequence ?(dedup = false) ~deliver
     dedup;
     seen = Array.make 8 0;
     deliver;
-    buffer = Hashtbl.create 32;
+    buffer = Int_table.create 32;
     expected = 0;
     hole_timer = None;
     received_count = 0;
@@ -64,7 +64,7 @@ let seen_add t seq =
   let w = seq lsr 5 in
   let n = Array.length t.seen in
   if w >= n then begin
-    let grown = Array.make (Stdlib.max (w + 1) (2 * n)) 0 in
+    let grown = Array.make (Int.max (w + 1) (2 * n)) 0 in
     Array.blit t.seen 0 grown 0 n;
     t.seen <- grown
   end;
@@ -79,9 +79,9 @@ let cancel_hole_timer t =
 
 (* Deliver the expected frame and everything contiguous after it. *)
 let rec drain t =
-  match Hashtbl.find_opt t.buffer t.expected with
+  match Int_table.find_opt t.buffer t.expected with
   | Some payload ->
-    Hashtbl.remove t.buffer t.expected;
+    Int_table.remove t.buffer t.expected;
     t.expected <- t.expected + 1;
     t.resequenced_count <- t.resequenced_count + 1;
     t.deliver payload;
@@ -90,7 +90,7 @@ let rec drain t =
 
 let rec arm_hole_timer t timeout =
   cancel_hole_timer t;
-  if Hashtbl.length t.buffer > 0 then
+  if Int_table.length t.buffer > 0 then
     t.hole_timer <-
       Some
         (Simulator.schedule_after t.sim ~delay:timeout.hole_timeout (fun () ->
@@ -100,9 +100,9 @@ let rec arm_hole_timer t timeout =
 (* The missing frame is not coming (discarded by the peer): skip to
    the earliest buffered frame and continue from there. *)
 and flush_hole t timeout =
-  if Hashtbl.length t.buffer > 0 then begin
+  if Int_table.length t.buffer > 0 then begin
     let next =
-      Hashtbl.fold (fun seq _ acc -> Stdlib.min seq acc) t.buffer max_int
+      Int_table.fold (fun seq _ acc -> Int.min seq acc) t.buffer max_int
     in
     t.hole_count <- t.hole_count + 1;
     t.expected <- next;
@@ -144,7 +144,7 @@ let receive_in_order t frame =
         t.deliver frame.Frame.payload
       end
       else begin
-        Hashtbl.replace t.buffer seq frame.Frame.payload;
+        Int_table.replace t.buffer seq frame.Frame.payload;
         if (match t.hole_timer with None -> true | Some _ -> false) then
           arm_hole_timer t timeout
       end
@@ -165,7 +165,7 @@ let receive t frame =
     | None -> ());
     receive_in_order t frame
 
-let pending t = Hashtbl.length t.buffer
+let pending t = Int_table.length t.buffer
 
 let stats t =
   {

@@ -1,7 +1,7 @@
 let fragment_count ~mtu pkt =
   if mtu <= 0 then invalid_arg "Fragmenter: mtu must be positive";
   let size = Netsim.Packet.size pkt in
-  Stdlib.max 1 ((size + mtu - 1) / mtu)
+  Int.max 1 ((size + mtu - 1) / mtu)
 
 let split ~mtu pkt =
   let count = fragment_count ~mtu pkt in

@@ -18,7 +18,7 @@ type t = {
   sim : Simulator.t;
   timeout : Simtime.span;
   deliver : Netsim.Packet.t -> unit;
-  partial : (int, entry) Hashtbl.t;  (* keyed by packet id *)
+  partial : entry Int_table.t;  (* keyed by packet id *)
   mutable delivered_count : int;
   mutable failure_count : int;
   mutable duplicate_count : int;
@@ -29,7 +29,7 @@ let create sim ~timeout ~deliver =
     sim;
     timeout;
     deliver;
-    partial = Hashtbl.create 16;
+    partial = Int_table.create 16;
     delivered_count = 0;
     failure_count = 0;
     duplicate_count = 0;
@@ -51,8 +51,8 @@ let arm_purge t key entry =
   entry.purge <-
     Some
       (Simulator.schedule_after t.sim ~delay:t.timeout (fun () ->
-           if Hashtbl.mem t.partial key then begin
-             Hashtbl.remove t.partial key;
+           if Int_table.mem t.partial key then begin
+             Int_table.remove t.partial key;
              t.failure_count <- t.failure_count + 1
            end))
 
@@ -63,7 +63,7 @@ let receive t payload =
   | Frame.Fragment { packet; index; count; bytes = _ } ->
     let key = packet.Netsim.Packet.id in
     let entry =
-      match Hashtbl.find_opt t.partial key with
+      match Int_table.find_opt t.partial key with
       | Some e -> e
       | None ->
         let e =
@@ -75,7 +75,7 @@ let receive t payload =
             purge = None;
           }
         in
-        Hashtbl.replace t.partial key e;
+        Int_table.replace t.partial key e;
         e
     in
     if entry.seen.(index) then t.duplicate_count <- t.duplicate_count + 1
@@ -84,21 +84,21 @@ let receive t payload =
       entry.seen_count <- entry.seen_count + 1;
       if entry.seen_count = entry.count then begin
         cancel_purge t entry;
-        Hashtbl.remove t.partial key;
+        Int_table.remove t.partial key;
         deliver_packet t entry.packet
       end
       else arm_purge t key entry
     end
 
-let pending t = Hashtbl.length t.partial
+let pending t = Int_table.length t.partial
 
 (* Crash: every partially reassembled packet is lost with the buffer.
    Purge timers are cancelled so no stale closure fires against the
    fresh table, and the lost partials are counted as failures. *)
 let crash t =
-  Hashtbl.iter (fun _ entry -> cancel_purge t entry) t.partial;
-  let lost = Hashtbl.length t.partial in
-  Hashtbl.reset t.partial;
+  Int_table.iter (fun _ entry -> cancel_purge t entry) t.partial;
+  let lost = Int_table.length t.partial in
+  Int_table.reset t.partial;
   t.failure_count <- t.failure_count + lost;
   lost
 

@@ -1,3 +1,5 @@
+open Sim_engine
+
 type policy = Fifo | Round_robin
 
 (* A deque with a bounded tail: [front] holds re-queued items (never
@@ -34,7 +36,7 @@ type 'a t = {
   pol : policy;
   capacity : int;
   fifo : (int * 'a) lane;
-  per_conn : (int, 'a lane) Hashtbl.t;
+  per_conn : 'a lane Int_table.t;
   mutable rotation : int list;  (* round-robin order, head is next *)
 }
 
@@ -44,18 +46,18 @@ let create pol ~capacity =
     pol;
     capacity;
     fifo = lane_create ();
-    per_conn = Hashtbl.create 8;
+    per_conn = Int_table.create 8;
     rotation = [];
   }
 
 let policy t = t.pol
 
 let conn_lane t conn =
-  match Hashtbl.find_opt t.per_conn conn with
+  match Int_table.find_opt t.per_conn conn with
   | Some lane -> lane
   | None ->
     let lane = lane_create () in
-    Hashtbl.replace t.per_conn conn lane;
+    Int_table.replace t.per_conn conn lane;
     t.rotation <- t.rotation @ [ conn ];
     lane
 
@@ -79,7 +81,7 @@ let pop t =
       match rot, remaining with
       | _, 0 | [], _ -> None
       | conn :: rest, _ -> (
-        let lane = Hashtbl.find t.per_conn conn in
+        let lane = Int_table.find t.per_conn conn in
         match lane_pop lane with
         | Some item ->
           t.rotation <- rest @ [ conn ];
@@ -92,7 +94,7 @@ let length t =
   match t.pol with
   | Fifo -> lane_length t.fifo
   | Round_robin ->
-    Hashtbl.fold (fun _ lane acc -> acc + lane_length lane) t.per_conn 0
+    Int_table.fold (fun _ lane acc -> acc + lane_length lane) t.per_conn 0
 
 let is_empty t = length t = 0
 
@@ -100,7 +102,7 @@ let drops t =
   match t.pol with
   | Fifo -> t.fifo.drop_count
   | Round_robin ->
-    Hashtbl.fold (fun _ lane acc -> acc + lane.drop_count) t.per_conn 0
+    Int_table.fold (fun _ lane acc -> acc + lane.drop_count) t.per_conn 0
 
 let lane_clear lane =
   let n = lane_length lane in
@@ -112,4 +114,4 @@ let clear t =
   match t.pol with
   | Fifo -> lane_clear t.fifo
   | Round_robin ->
-    Hashtbl.fold (fun _ lane acc -> acc + lane_clear lane) t.per_conn 0
+    Int_table.fold (fun _ lane acc -> acc + lane_clear lane) t.per_conn 0

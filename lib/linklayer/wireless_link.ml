@@ -34,6 +34,8 @@ type t = {
   queue : Frame.t Queue_drop_tail.t;
   mutable receiver : (Frame.t -> unit) option;
   mutable monitor : (monitor_event -> unit) option;
+      (* matched before an event is built, so an unmonitored link
+         allocates nothing to report *)
   mutable on_frame_sent : (Frame.t -> unit) option;
   mutable transmitting : bool;
   (* State of the one transmission on the air.  Only a single frame
@@ -75,9 +77,6 @@ let trace_emit t ~ev frame =
     ~ev
     [ ("seq", Obs.Jsonl.Int frame.Frame.seq) ]
 
-let notify t event =
-  match t.monitor with Some f -> f event | None -> ()
-
 let air_bytes_of t frame =
   int_of_float (Float.round (t.cfg.overhead_factor *. float_of_int (Frame.bytes frame)))
 
@@ -90,7 +89,7 @@ let deliver t frame =
   | Some f ->
     t.frames_delivered <- t.frames_delivered + 1;
     if Obs.Trace.enabled t.obs_trace then trace_emit t ~ev:"delivered" frame;
-    notify t (Delivered frame);
+    (match t.monitor with Some m -> m (Delivered frame) | None -> ());
     f frame
 
 let propagated t =
@@ -100,7 +99,7 @@ let propagated t =
 let rec transmit t frame =
   t.transmitting <- true;
   if Obs.Trace.enabled t.obs_trace then trace_emit t ~ev:"tx_start" frame;
-  notify t (Tx_start frame);
+  (match t.monitor with Some m -> m (Tx_start frame) | None -> ());
   let air = air_bytes_of t frame in
   t.tx_frame <- frame;
   t.tx_start <- Simulator.now t.sim;
@@ -134,12 +133,12 @@ and finish t =
   if blackholed then begin
     t.frames_blackholed <- t.frames_blackholed + 1;
     if Obs.Trace.enabled t.obs_trace then trace_emit t ~ev:"blackholed" frame;
-    notify t (Lost frame)
+    (match t.monitor with Some m -> m (Lost frame) | None -> ())
   end
   else if lost then begin
     t.frames_lost <- t.frames_lost + 1;
     if Obs.Trace.enabled t.obs_trace then trace_emit t ~ev:"lost" frame;
-    notify t (Lost frame)
+    (match t.monitor with Some m -> m (Lost frame) | None -> ())
   end
   else begin
     t.in_propagation <- t.in_propagation + 1;
@@ -195,10 +194,12 @@ let send t frame =
   | Some _ -> ());
   t.accepted <- t.accepted + 1;
   if t.transmitting then begin
-    if Queue_drop_tail.enqueue t.queue frame then notify t (Enqueued frame)
+    if Queue_drop_tail.enqueue t.queue frame then begin
+      match t.monitor with Some m -> m (Enqueued frame) | None -> ()
+    end
     else begin
       if Obs.Trace.enabled t.obs_trace then trace_emit t ~ev:"dropped" frame;
-      notify t (Dropped frame)
+      match t.monitor with Some m -> m (Dropped frame) | None -> ()
     end
   end
   else transmit t frame

@@ -36,7 +36,7 @@ let interval t =
 
 let emit t =
   let bytes = packet_bytes_of t.pattern in
-  let header = Stdlib.min 40 bytes in
+  let header = Int.min 40 bytes in
   let pkt =
     Packet.create ~id:(t.alloc_id ()) ~src:t.src ~dst:t.dst
       ~kind:

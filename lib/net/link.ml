@@ -21,6 +21,8 @@ type t = {
   queue : Packet.t Queue_drop_tail.t;
   mutable receiver : (Packet.t -> unit) option;
   mutable monitor : (monitor_event -> unit) option;
+      (* matched before an event is built, so an unmonitored link
+         allocates nothing to report *)
   mutable transmitting : bool;
   (* The one packet currently serialising, plus a single preallocated
      finish closure reading it — only one transmission is on the wire
@@ -44,22 +46,19 @@ let dummy_packet =
 let set_receiver t f = t.receiver <- Some f
 let set_monitor t f = t.monitor <- Some f
 
-let notify t event =
-  match t.monitor with Some f -> f event | None -> ()
-
 let deliver t pkt =
   match t.receiver with
   | None -> failwith ("Link " ^ t.link_name ^ ": no receiver installed")
   | Some f ->
     t.delivered <- t.delivered + 1;
-    notify t (Delivered pkt);
+    (match t.monitor with Some m -> m (Delivered pkt) | None -> ());
     f pkt
 
 let propagated t = deliver t (Queue.pop t.prop_packets)
 
 let rec transmit t pkt =
   t.transmitting <- true;
-  notify t (Tx_start pkt);
+  (match t.monitor with Some m -> m (Tx_start pkt) | None -> ());
   let bits = Units.bits_of_bytes (Packet.size pkt) in
   let tx = Units.tx_time ~bits t.link_bandwidth in
   t.tx_current <- pkt;
@@ -107,8 +106,12 @@ let send t pkt =
   | None -> failwith ("Link " ^ t.link_name ^ ": no receiver installed")
   | Some _ -> ());
   if t.transmitting then begin
-    if Queue_drop_tail.enqueue t.queue pkt then notify t (Enqueued pkt)
-    else notify t (Dropped pkt)
+    if Queue_drop_tail.enqueue t.queue pkt then begin
+      match t.monitor with Some m -> m (Enqueued pkt) | None -> ()
+    end
+    else begin
+      match t.monitor with Some m -> m (Dropped pkt) | None -> ()
+    end
   end
   else transmit t pkt
 

@@ -4,7 +4,7 @@ type t = {
   simulator : Simulator.t;
   node_name : string;
   node_addr : Address.t;
-  routes : (int, Packet.t -> unit) Hashtbl.t;
+  routes : (Packet.t -> unit) Int_table.t;
   mutable local_handler : (Packet.t -> unit) option;
   mutable forward_hook : (Packet.t -> bool) option;
   mutable forwarded : int;
@@ -16,7 +16,7 @@ let create simulator ~name ~addr =
     simulator;
     node_name = name;
     node_addr = addr;
-    routes = Hashtbl.create 8;
+    routes = Int_table.create 8;
     local_handler = None;
     forward_hook = None;
     forwarded = 0;
@@ -27,12 +27,14 @@ let addr t = t.node_addr
 let name t = t.node_name
 let sim t = t.simulator
 
-let add_route t ~dst ~via = Hashtbl.replace t.routes (Address.to_int dst) via
+let add_route t ~dst ~via =
+  Int_table.replace t.routes (Address.to_int dst) via
+
 let set_local_handler t f = t.local_handler <- Some f
 let set_forward_hook t f = t.forward_hook <- Some f
 
 let send t pkt =
-  match Hashtbl.find_opt t.routes (Address.to_int pkt.Packet.dst) with
+  match Int_table.find_opt t.routes (Address.to_int pkt.Packet.dst) with
   | None ->
     failwith
       (Format.asprintf "Node %s: no route to %a" t.node_name Address.pp

@@ -24,7 +24,7 @@ let enqueue t x =
   end
   else begin
     Queue.add x t.items;
-    t.peak <- Stdlib.max t.peak (Queue.length t.items);
+    t.peak <- Int.max t.peak (Queue.length t.items);
     true
   end
 

@@ -48,14 +48,14 @@ let initial_state (cfg : Tcp_config.t) =
   }
 
 let effective_window host =
-  Stdlib.min (int_of_float host.state.cwnd) host.cfg.Tcp_config.window
+  Int.min (int_of_float host.state.cwnd) host.cfg.Tcp_config.window
 
 let flight_bytes host =
-  Stdlib.min (effective_window host) (host.snd_nxt () - host.snd_una ())
+  Int.min (effective_window host) (host.snd_nxt () - host.snd_una ())
 
 let set_loss_threshold host =
   host.state.ssthresh <-
-    Stdlib.max (2 * host.cfg.Tcp_config.mss) (flight_bytes host / 2)
+    Int.max (2 * host.cfg.Tcp_config.mss) (flight_bytes host / 2)
 
 (* The float operation order below is load-bearing: the byte-identity
    gate (test/test_golden.ml) pins Tahoe-via-Cc to the
@@ -67,7 +67,8 @@ let grow_cwnd host =
   if st.cwnd < float_of_int st.ssthresh then st.cwnd <- st.cwnd +. mss
   else st.cwnd <- st.cwnd +. (mss *. mss /. st.cwnd);
   (* No point growing past what the receiver will ever grant. *)
-  st.cwnd <- Stdlib.min st.cwnd (float_of_int (4 * host.cfg.Tcp_config.window))
+  let limit = float_of_int (4 * host.cfg.Tcp_config.window) in
+  st.cwnd <- (if st.cwnd <= limit then st.cwnd else limit)
 
 (* Tahoe loss reaction: ssthresh to half the flight, window to one
    segment, go-back-N from the last cumulative ack. *)

@@ -14,7 +14,7 @@ let enter_recovery (host : Cc.host) =
   st.Cc.recovery_entries <- st.Cc.recovery_entries + 1;
   host.Cc.clear_timing ();
   let una = host.Cc.snd_una () in
-  let len = Stdlib.min cfg.Tcp_config.mss (host.Cc.total - una) in
+  let len = Int.min cfg.Tcp_config.mss (host.Cc.total - una) in
   host.Cc.emit_segment ~seq:una ~len;
   (* Inflate by the segments the duplicate acks proved have left the
      network (RFC 2581 §3.2 step 2). *)
@@ -41,7 +41,7 @@ let make ~newreno (host : Cc.host) =
                  stay in recovery; the shell re-arms the timer after
                  every new ack. *)
               let acked = ack - host.snd_una () in
-              let len = Stdlib.min mss (host.total - ack) in
+              let len = Int.min mss (host.total - ack) in
               if len > 0 then host.emit_segment ~seq:ack ~len;
               st.cwnd <- st.cwnd -. float_of_int acked;
               if acked >= mss then st.cwnd <- st.cwnd +. float_of_int mss;

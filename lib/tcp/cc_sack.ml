@@ -52,7 +52,7 @@ let make (host : Cc.host) =
             st.cwnd <- float_of_int st.ssthresh;
             if not (host.retransmit_hole ()) then begin
               let una = host.snd_una () in
-              let len = Stdlib.min mss (host.total - una) in
+              let len = Int.min mss (host.total - una) in
               host.emit_segment ~seq:una ~len
             end;
             host.arm_rto ()

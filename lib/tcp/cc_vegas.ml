@@ -47,8 +47,8 @@ let make (host : Cc.host) =
     v.epoch_end <- host.Cc.snd_nxt ()
   in
   let cap () =
-    st.Cc.cwnd <-
-      Stdlib.min st.Cc.cwnd (float_of_int (4 * cfg.Tcp_config.window))
+    let limit = float_of_int (4 * cfg.Tcp_config.window) in
+    st.Cc.cwnd <- (if st.Cc.cwnd <= limit then st.Cc.cwnd else limit)
   in
   let adjust () =
     (if v.epoch_samples > 0 && v.base_rtt_ns < max_int then begin
@@ -60,7 +60,7 @@ let make (host : Cc.host) =
          if diff > float_of_int cfg.Tcp_config.vegas_gamma then
            (* Queue building already: leave slow start here. *)
            st.Cc.ssthresh <-
-             Stdlib.max (2 * cfg.Tcp_config.mss) (int_of_float st.Cc.cwnd)
+             Int.max (2 * cfg.Tcp_config.mss) (int_of_float st.Cc.cwnd)
          else begin
            if v.grow_toggle then st.Cc.cwnd <- st.Cc.cwnd *. 2.0;
            v.grow_toggle <- not v.grow_toggle
@@ -69,8 +69,8 @@ let make (host : Cc.host) =
        else if diff < float_of_int cfg.Tcp_config.vegas_alpha then
          st.Cc.cwnd <- st.Cc.cwnd +. mssf
        else if diff > float_of_int cfg.Tcp_config.vegas_beta then
-         st.Cc.cwnd <-
-           Stdlib.max (2.0 *. mssf) (st.Cc.cwnd -. mssf)
+         let least = 2.0 *. mssf and shrunk = st.Cc.cwnd -. mssf in
+         st.Cc.cwnd <- (if least >= shrunk then least else shrunk)
      end
      else if st.Cc.cwnd < float_of_int st.Cc.ssthresh then begin
        (* An epoch with no usable RTT sample (retransmissions, Karn):

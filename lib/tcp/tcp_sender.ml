@@ -87,7 +87,7 @@ let rec arm_timer t ~ticks =
   Soft_timer.arm_after t.timer ~delay
 
 and effective_window t =
-  Stdlib.min (int_of_float t.cc_state.Cc.cwnd) t.cfg.window
+  Int.min (int_of_float t.cc_state.Cc.cwnd) t.cfg.window
 
 and emit_segment t ~seq ~len =
   let is_retransmit = seq < t.max_sent in
@@ -127,16 +127,16 @@ and emit_segment t ~seq ~len =
 
 and send_window t =
   let limit =
-    Stdlib.min
-      (Stdlib.min (t.snd_una + effective_window t) t.total)
+    Int.min
+      (Int.min (t.snd_una + effective_window t) t.total)
       t.available
   in
   let progressed = ref false in
   while t.snd_nxt < limit do
-    let len = Stdlib.min t.cfg.mss (limit - t.snd_nxt) in
+    let len = Int.min t.cfg.mss (limit - t.snd_nxt) in
     emit_segment t ~seq:t.snd_nxt ~len;
     t.snd_nxt <- t.snd_nxt + len;
-    t.max_sent <- Stdlib.max t.max_sent t.snd_nxt;
+    t.max_sent <- Int.max t.max_sent t.snd_nxt;
     progressed := true
   done;
   if !progressed && not (timer_pending t) then
@@ -167,7 +167,7 @@ let rec insert_block blocks (start, stop) =
   | (s, e) :: rest ->
     if stop < s then (start, stop) :: blocks
     else if e < start then (s, e) :: insert_block rest (start, stop)
-    else insert_block rest (Stdlib.min s start, Stdlib.max e stop)
+    else insert_block rest (Int.min s start, Int.max e stop)
 
 let record_sack t blocks =
   List.iter
@@ -184,9 +184,9 @@ let next_hole t =
   let rec scan cursor = function
     | [] -> None
     | (s, e) :: rest ->
-      if cursor < s then Some (cursor, s) else scan (Stdlib.max cursor e) rest
+      if cursor < s then Some (cursor, s) else scan (Int.max cursor e) rest
   in
-  scan (Stdlib.max t.snd_una t.hole_cursor) t.sacked
+  scan (Int.max t.snd_una t.hole_cursor) t.sacked
 
 (* Retransmit one segment of the lowest unfilled hole and advance the
    cursor past it, so successive acks walk distinct holes rather than
@@ -197,7 +197,7 @@ let retransmit_hole t =
   | None -> false
   | Some (start, stop) ->
     let len =
-      Stdlib.min (Stdlib.min t.cfg.mss (stop - start)) (t.total - start)
+      Int.min (Int.min t.cfg.mss (stop - start)) (t.total - start)
     in
     if len <= 0 then false
     else begin
@@ -355,7 +355,7 @@ let handle_ebsn t =
     in
     (* Clamp: repeated scaling must not compound past the RTO bounds. *)
     let ticks =
-      Stdlib.max t.cfg.min_rto_ticks (Stdlib.min t.cfg.max_rto_ticks scaled)
+      Int.max t.cfg.min_rto_ticks (Int.min t.cfg.max_rto_ticks scaled)
     in
     if Obs.Trace.enabled t.obs_trace then
       trace_emit t ~ev:"ebsn_rearm" [ ("ticks", Obs.Jsonl.Int ticks) ];
@@ -378,12 +378,12 @@ let start t = send_window t
 let set_available t bytes =
   if bytes < t.available then
     invalid_arg "Tcp_sender.set_available: cannot shrink";
-  t.available <- Stdlib.min bytes t.total;
+  t.available <- Int.min bytes t.total;
   if not t.is_complete then send_window t
 
 let restrict_available t bytes =
   if bytes < 0 then invalid_arg "Tcp_sender.restrict_available: negative";
-  t.available <- Stdlib.min bytes t.total
+  t.available <- Int.min bytes t.total
 
 let check_invariants t =
   Obs.Invariant.require ~name:"tcp.sequence_order"

@@ -64,13 +64,13 @@ let rec insert_range ranges (start, stop) =
   | (s, e) :: rest ->
     if stop < s then (start, stop) :: ranges
     else if e < start then (s, e) :: insert_range rest (start, stop)
-    else insert_range rest (Stdlib.min s start, Stdlib.max e stop)
+    else insert_range rest (Int.min s start, Int.max e stop)
 
 (* Advance the ack point through any buffered ranges it now touches. *)
 let rec drain t =
   match t.buffered with
   | (s, e) :: rest when s <= t.next_byte ->
-    t.next_byte <- Stdlib.max t.next_byte e;
+    t.next_byte <- Int.max t.next_byte e;
     t.buffered <- rest;
     drain t
   | _ -> ()
@@ -116,7 +116,7 @@ let handle_data t ~seq ~length =
   else begin
     t.received_count <- t.received_count + 1;
     if seq <= t.next_byte then begin
-      t.next_byte <- Stdlib.max t.next_byte stop;
+      t.next_byte <- Int.max t.next_byte stop;
       drain t
     end
     else t.buffered <- insert_range t.buffered (seq, stop)
@@ -150,5 +150,5 @@ let stats t =
     segments_received = t.received_count;
     duplicate_segments = t.duplicate_count;
     acks_sent = t.ack_count;
-    bytes_delivered = Stdlib.min t.next_byte t.expected;
+    bytes_delivered = Int.min t.next_byte t.expected;
   }

@@ -400,8 +400,9 @@ let run ?obs ?faults (scenario : Scenario.t) =
           match scenario.scheme with
           | Ebsn ->
             if Feedback.Ebsn.admit ebsn_gate ~conn ~now then begin
-              Slog.debug sim "bs sends ebsn (attempt failed for %a)"
-                Packet.pp pkt;
+              if Slog.enabled Logs.Debug then
+                Slog.debug sim "bs sends ebsn (attempt failed for %a)"
+                  Packet.pp pkt;
               incr ebsn_sent;
               send_notification ~make_packet:(fun () ->
                   Feedback.Ebsn.make ~alloc_id ~src:bs_addr
@@ -445,9 +446,10 @@ let run ?obs ?faults (scenario : Scenario.t) =
 
   (* Tracing hooks. *)
   Tcp_sender.set_on_send sender (fun pkt ->
-      Slog.debug sim "src sends %a (cwnd=%dB una=%d)" Packet.pp pkt
-        (Tcp_sender.cwnd_bytes sender)
-        (Tcp_sender.snd_una sender);
+      if Slog.enabled Logs.Debug then
+        Slog.debug sim "src sends %a (cwnd=%dB una=%d)" Packet.pp pkt
+          (Tcp_sender.cwnd_bytes sender)
+          (Tcp_sender.snd_una sender);
       match pkt.Packet.kind with
       | Packet.Tcp_data { seq; is_retransmit; _ } ->
         Metrics.Trace.record trace (Simulator.now sim)
@@ -459,8 +461,9 @@ let run ?obs ?faults (scenario : Scenario.t) =
              })
       | Packet.Tcp_ack _ | Packet.Ebsn _ | Packet.Source_quench _ -> ());
   Tcp_sender.set_on_timeout sender (fun () ->
-      Slog.info sim "source retransmission timeout (una=%d)"
-        (Tcp_sender.snd_una sender);
+      if Slog.enabled Logs.Info then
+        Slog.info sim "source retransmission timeout (una=%d)"
+          (Tcp_sender.snd_una sender);
       Metrics.Trace.record trace (Simulator.now sim) Metrics.Trace.Timeout);
 
   (* Background wired-network load (the §6 congestion study). *)

@@ -218,6 +218,10 @@ let test_queue_interleaved_growth () =
   done;
   Alcotest.(check int) "live count" 500 (Event_queue.length q)
 
+(* Event_queue's compaction floor: after every operation, occupancy is
+   at most [max (2 * length) compact_min] (event_queue.mli). *)
+let compact_min = 8
+
 let test_queue_cancel_heavy_bounded () =
   (* The paper's workload in miniature: per-flow retransmission timers
      armed and re-armed on every ACK, so nearly every add is
@@ -237,20 +241,63 @@ let test_queue_cancel_heavy_bounded () =
     if step mod 64 = 0 then ignore (Event_queue.pop q);
     let occ = Event_queue.occupancy q in
     if occ > !max_occupancy then max_occupancy := occ;
-    if occ > Stdlib.max (2 * Event_queue.length q) 64 then bound_ok := false
+    if occ > Int.max (2 * Event_queue.length q) compact_min then
+      bound_ok := false
   done;
-  Alcotest.(check bool) "occupancy <= max (2*live) 64 after every op" true
-    !bound_ok;
+  Alcotest.(check bool) "occupancy <= max (2*live) compact_min after every op"
+    true !bound_ok;
   (* ~100k adds against ~32 live timers: the heap never grew past the
      compaction floor. *)
   Alcotest.(check bool) "max occupancy stayed near the live set" true
-    (!max_occupancy <= 64 + (2 * flows));
+    (!max_occupancy <= compact_min + (2 * flows));
   let s = Event_queue.stats q in
   Alcotest.(check int) "conservation: adds = pops + cancels + live"
     s.Event_queue.adds
     (s.Event_queue.pops + s.Event_queue.cancels + Event_queue.length q);
   Alcotest.(check bool) "adds served from the recycled slot pool" true
     (s.Event_queue.recycled > 99_000)
+
+let test_queue_wan_shaped_compacts () =
+  (* A WAN cell in miniature: four live near-term events (a frame on
+     the air, one in propagation, the ARQ and TCP timers) popped and
+     re-armed in turn, while every pop also re-arms a far-future purge
+     timer and cancels the old one.  Those dead nodes sit deep in the
+     heap and never surface at the root, so only compaction reclaims
+     them.  With 5 live events the 48 dead ones stay below a 64-node
+     floor, so compaction must run at the live set's own size. *)
+  let q = Event_queue.create () in
+  for k = 0 to 3 do
+    ignore (Event_queue.add q ~time:(Simtime.of_ns k) k)
+  done;
+  let far ns =
+    Event_queue.add q ~time:(Simtime.of_ns (ns + 10_000_000_000)) (-1)
+  in
+  let purge = ref (far 0) in
+  let max_live = ref 0 and bound_ok = ref true in
+  let check_bound () =
+    let live = Event_queue.length q in
+    max_live := Int.max !max_live live;
+    if Event_queue.occupancy q > Int.max (2 * live) compact_min then
+      bound_ok := false
+  in
+  for _ = 1 to 48 do
+    let now = Event_queue.next_time_ns q in
+    let k = Event_queue.take_exn q in
+    check_bound ();
+    ignore (Event_queue.add q ~time:(Simtime.of_ns (now + 1_000_000)) k);
+    check_bound ();
+    Event_queue.cancel q !purge;
+    check_bound ();
+    purge := far now;
+    check_bound ()
+  done;
+  let s = Event_queue.stats q in
+  Alcotest.(check bool) "at most 8 live events" true (!max_live <= 8);
+  Alcotest.(check bool) "occupancy <= max (2*live) compact_min after every op"
+    true !bound_ok;
+  Alcotest.(check bool) "compaction ran" true (s.Event_queue.compactions > 0);
+  Alcotest.(check bool) "peak heap stayed below 64 nodes" true
+    (s.Event_queue.max_size < 64)
 
 (* Model check: the heap against a naive sorted list, under
    interleaved add/pop/cancel.  [add_w] and [cancel_w] are percentage
@@ -310,7 +357,7 @@ let prop_queue_model ?(max_time = 1023) ?(take = false) ~name ~add_w
           !ok
           && Event_queue.length q = List.length !model
           && Event_queue.occupancy q
-             <= Stdlib.max (2 * Event_queue.length q) 64
+             <= Int.max (2 * Event_queue.length q) compact_min
       in
       List.iter
         (fun (sel, t) ->
@@ -699,6 +746,8 @@ let () =
           qc prop_queue_model_mixed;
           qc prop_queue_model_cancel_heavy;
           qc prop_queue_model_take;
+          Alcotest.test_case "WAN-shaped queue compacts" `Quick
+            test_queue_wan_shaped_compacts;
         ] );
       ( "soft_timer",
         [

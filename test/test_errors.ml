@@ -163,6 +163,94 @@ let prop_weighted_seconds_matches_fold =
       walked = folded
       && State_timeline.weighted_seconds tl ~start ~stop:start ~good ~bad = 0.0)
 
+let prop_timeline_matches_reference =
+  (* One timeline answers a whole random query stream, so what one
+     query materialised serves the next: forwards, backwards, repeated,
+     and starting or stopping exactly on period boundaries.  The
+     reference scans the same period ends linearly and keeps no state
+     between queries; both must agree exactly. *)
+  QCheck2.Test.make
+    ~name:"timeline == stateless reference, any query order"
+    ~count:300
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 8) (int_range 50 3_000))
+        (list_size (int_range 1 60)
+           (triple (int_range 0 3) (int_range 0 60_000) (int_range 0 9_000))))
+    (fun (durations_ms, queries) ->
+      let durations = Array.of_list durations_ms in
+      let n = Array.length durations in
+      let drawn = ref 0 in
+      let tl =
+        State_timeline.create
+          ~duration_of:(fun _ ->
+            let d = durations.(!drawn mod n) in
+            incr drawn;
+            Simtime.span_ms d)
+          ()
+      in
+      (* [ends.(i)] is the end of period [i] in ns, far enough to cover
+         every query; period [i] is Good iff [i] is even. *)
+      let ends = Array.make 1_500 0 in
+      Array.iteri
+        (fun i _ ->
+          let prev = if i = 0 then 0 else ends.(i - 1) in
+          ends.(i) <- prev + (durations.(i mod n) * 1_000_000))
+        ends;
+      let reference_segments start stop =
+        let rec go i acc =
+          let s = if i = 0 then 0 else ends.(i - 1) and e = ends.(i) in
+          if s >= stop then List.rev acc
+          else if e <= start then go (i + 1) acc
+          else
+            let state =
+              if i mod 2 = 0 then Channel_state.Good else Channel_state.Bad
+            in
+            let piece = Int.min e stop - Int.max s start in
+            go (i + 1) ((state, Simtime.span_ns piece) :: acc)
+        in
+        if stop <= start then [] else go 0 []
+      in
+      let good = 0.0192 and bad = 1.92 in
+      let weigh segments =
+        List.fold_left
+          (fun acc (state, d) ->
+            let rate =
+              match state with
+              | Channel_state.Good -> good
+              | Channel_state.Bad -> bad
+            in
+            acc +. (rate *. Simtime.span_to_sec d))
+          0.0 segments
+      in
+      let last = ref (0, 0) in
+      List.for_all
+        (fun (mode, x, len_ms) ->
+          let start, stop =
+            match mode with
+            | 0 -> (x * 1_000_000, (x + len_ms) * 1_000_000)
+            | 1 ->
+              (* Start on a boundary, stop on a later one. *)
+              let k = x mod 40 in
+              (ends.(k), ends.(k + (len_ms mod 4)))
+            | 2 ->
+              (* Stop on a boundary. *)
+              let e = ends.(x mod 40) in
+              (Int.max 0 (e - (len_ms * 1_000_000)), e)
+            | _ -> !last
+          in
+          last := (start, stop);
+          let expected = reference_segments start stop in
+          let seg =
+            State_timeline.segments tl ~start:(at start) ~stop:(at stop)
+          in
+          let w =
+            State_timeline.weighted_seconds tl ~start:(at start) ~stop:(at stop)
+              ~good ~bad
+          in
+          seg = expected && w = weigh expected)
+        queries)
+
 (* ------------------------------------------------------------------ *)
 (* Channel wrappers                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -444,6 +532,7 @@ let () =
           Alcotest.test_case "index_at guards" `Quick test_index_at_guards;
           qc prop_timeline_coverage;
           qc prop_weighted_seconds_matches_fold;
+          qc prop_timeline_matches_reference;
         ] );
       ( "channels",
         [
