@@ -313,9 +313,10 @@ let json_arg =
         ~doc:"Write the campaign report as JSON to $(docv) (atomic \
               temp-file + rename).")
 
-(* SIGINT/SIGTERM set a flag the supervisor polls between waves, so an
-   interrupt flushes the manifest and partial report instead of
-   killing the process mid-write. *)
+(* SIGINT/SIGTERM set a flag the supervisor polls after every settled
+   cell, so an interrupt lets the running cells finish, flushes the
+   manifest and prints the partial report instead of killing the
+   process mid-write. *)
 let install_interrupt () =
   let stop = Atomic.make false in
   let arm signal =

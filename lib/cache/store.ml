@@ -185,5 +185,3 @@ let clear ~dir = remove_matching ~dir (fun _ -> false)
 
 let prune ~dir =
   remove_matching ~dir (function Valid _ -> true | Stale | Corrupt | Tmp -> false)
-
-let entry_path = path_of_key

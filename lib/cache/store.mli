@@ -50,7 +50,3 @@ val prune : dir:string -> sweep
     valid current-version entries; same degradation contract as
     {!clear}. *)
 
-val entry_path : dir:string -> key:string -> string
-(** Where {!put} stores [key]'s entry — exposed for the supervisor's
-    checkpoint poisoning sabotage and for tests that need to damage
-    entries deliberately. *)

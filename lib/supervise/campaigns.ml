@@ -161,20 +161,20 @@ let kind_of_spec line =
 (* Shared driver                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let config_of ?wave_size options =
+let config_of options =
   {
     Supervisor.deadline_events = options.deadline;
     max_attempts = options.retries;
     backoff_base_ms = options.backoff_ms;
     backoff_cap_ms = Float.max 1000.0 options.backoff_ms;
     relax_factor = 8;
-    wave_size;
+    wave_size = None;
   }
 
 (* Run cells under the supervisor.  A fresh (non-resume) run deletes
    any manifest a previous identically-shaped campaign left behind, so
    [--resume] is always an explicit request, never an accident. *)
-let supervised ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir
+let supervised ~options ~jobs ?sabotage ?should_stop ?manifest_dir
     ?store_dir ~spec cells =
   let store_dir =
     match store_dir with Some d -> d | None -> Repcache.Cache.dir ()
@@ -190,8 +190,8 @@ let supervised ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir
     try Sys.remove (Manifest.path ~dir:manifest_dir ~id)
     with Sys_error _ -> ()
   end;
-  Supervisor.run ~config:(config_of ?wave_size options) ~jobs ~spec
-    ~manifest_dir ~store_dir ?sabotage ?should_stop cells
+  Supervisor.run ~config:(config_of options) ~jobs ~spec
+    ~manifest_dir ?sabotage ?should_stop cells
 
 let count_quarantined outcomes =
   Array.fold_left
@@ -259,7 +259,7 @@ let settled_measurements outcomes ~lo ~len =
 
 (* A chaos payload key must cover [check]: the same (scenario, plan)
    cell yields a different result record when the invariant checkers
-   are on, so the two must never share a store entry. *)
+   are on, so the two must never share a manifest record. *)
 let chaos_key ~check sp =
   Digest.to_hex
     (Digest.string
@@ -421,11 +421,11 @@ let chaos_json specs outcomes =
   Buffer.add_string b "\n  ]\n}\n";
   Buffer.contents b
 
-let run_chaos ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
+let run_chaos ~options ~jobs ?sabotage ?should_stop ?manifest_dir ?store_dir
     ~spec ~plans ~base_seed ~cc ~check () =
   let specs, cells = chaos_cells ~plans ~base_seed ~cc ~check in
   let sup =
-    supervised ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
+    supervised ~options ~jobs ?sabotage ?should_stop ?manifest_dir ?store_dir
       ~spec cells
   in
   let rendered, ok = chaos_render specs sup.Supervisor.outcomes in
@@ -499,13 +499,13 @@ let compare_render ~replications outcomes =
     Topology.Scenario.all_schemes;
   Buffer.contents b
 
-let run_compare ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
+let run_compare ~options ~jobs ?sabotage ?should_stop ?manifest_dir ?store_dir
     ~spec ~preset ~packet_size ~bad ~good ~file ~seed ~replications ~cc () =
   let cells =
     compare_cells ~preset ~packet_size ~bad ~good ~file ~seed ~replications ~cc
   in
   let sup =
-    supervised ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
+    supervised ~options ~jobs ?sabotage ?should_stop ?manifest_dir ?store_dir
       ~spec cells
   in
   let rendered = compare_render ~replications sup.Supervisor.outcomes in
@@ -578,11 +578,11 @@ let advisor_render ~bads ~replications outcomes =
     bads;
   Buffer.contents b
 
-let run_advisor ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
+let run_advisor ~options ~jobs ?sabotage ?should_stop ?manifest_dir ?store_dir
     ~spec ~bads ~replications () =
   let cells = advisor_cells ~bads ~replications in
   let sup =
-    supervised ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
+    supervised ~options ~jobs ?sabotage ?should_stop ?manifest_dir ?store_dir
       ~spec cells
   in
   let rendered = advisor_render ~bads ~replications sup.Supervisor.outcomes in
@@ -592,16 +592,16 @@ let run_advisor ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(jobs = 1) ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir ~options
+let run ?(jobs = 1) ?sabotage ?should_stop ?manifest_dir ?store_dir ~options
     kind =
   let spec = spec_string kind in
   match kind with
   | Chaos { plans; base_seed; cc; check } ->
-    run_chaos ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
+    run_chaos ~options ~jobs ?sabotage ?should_stop ?manifest_dir ?store_dir
       ~spec ~plans ~base_seed ~cc ~check ()
   | Compare { preset; packet_size; bad; good; file; seed; replications; cc } ->
-    run_compare ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
+    run_compare ~options ~jobs ?sabotage ?should_stop ?manifest_dir ?store_dir
       ~spec ~preset ~packet_size ~bad ~good ~file ~seed ~replications ~cc ()
   | Advisor { bads; replications } ->
-    run_advisor ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
+    run_advisor ~options ~jobs ?sabotage ?should_stop ?manifest_dir ?store_dir
       ~spec ~bads ~replications ()

@@ -67,7 +67,6 @@ val kind_of_spec : string -> (kind, string) result
 
 val run :
   ?jobs:int ->
-  ?wave_size:int ->
   ?sabotage:Supervisor.sabotage ->
   ?should_stop:(completed:int -> bool) ->
   ?manifest_dir:string ->
@@ -79,5 +78,7 @@ val run :
     checkpointing on (spec = [spec_string kind]), and render the
     settled outcomes.  Unless [options.resume], any manifest a
     previous identically-shaped campaign left behind is deleted first.
-    [store_dir] defaults to {!Repcache.Cache.dir}; [manifest_dir] to
-    [<store_dir>/campaigns]. *)
+    The manifest is the campaign's only persistence: nothing is
+    written to the replication cache.  [store_dir] only locates the
+    default [manifest_dir], [<store_dir>/campaigns]; it defaults to
+    {!Repcache.Cache.dir}. *)

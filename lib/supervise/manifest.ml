@@ -1,35 +1,36 @@
 (* Campaign manifest: the append-only checkpoint log of a supervised
-   campaign.  Layout:
+   campaign, and the campaign's only persistence.  Layout:
 
      wtcp-campaign <engine_version>\n
      id <campaign id>\n
      spec <campaign spec line>\n
      cells <n>\n
-     done <idx> <payload key>\n
+     done <idx> <payload key> <percent-encoded payload>\n
      quar <idx> <attempts> <percent-encoded error>\n
 
    The header is written (and flushed) before any cell settles;
-   completion lines are appended and flushed once per wave.  Payloads
-   themselves live in the Repcache disk store under the key on the
-   [done] line — the manifest records *which* cells settled, never
-   their bytes.  A process killed mid-flush can tear at most the
-   final line (appends are prefix-durable for regular files), so a
-   load drops an unterminated tail and treats anything unparseable as
-   "not settled": the worst a torn manifest costs is re-simulating
-   one wave. *)
+   completion records are appended as cells settle and flushed every
+   few records.  A [done] record carries the cell's payload itself, so
+   a resume restores a campaign from this one file.  A process killed
+   mid-write can tear at most the final line (appends are
+   prefix-durable for regular files), so a load drops an unterminated
+   tail and treats anything unparseable -- a payload that does not
+   decode included -- as "not settled": the worst a torn manifest
+   costs is re-simulating the cells whose records were not yet
+   flushed. *)
 
 let magic = "wtcp-campaign"
 
 type entry =
-  | Done of { key : string }
+  | Done of { key : string; payload : string }
   | Quarantined of { attempts : int; error : string }
 
 type header = { id : string; spec : string; cells : int }
 type loaded = { header : header; entries : entry option array }
 type t = { oc : out_channel }
 
-(* Percent-encoding for the free-text error field, so quarantine
-   lines stay single-line and space-splittable. *)
+(* Percent-encoding for the payload and error fields, so every
+   record stays single-line and space-splittable. *)
 let encode_token s =
   let b = Buffer.create (String.length s) in
   String.iter
@@ -51,9 +52,12 @@ let decode_token s =
     | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
     | _ -> raise Exit
   in
+  (* A '%' without two hex digits after it is damage, never a literal:
+     [encode_token] escapes every '%'. *)
   let rec go i =
     if i < n then
-      if s.[i] = '%' && i + 2 < n then begin
+      if s.[i] = '%' then begin
+        if i + 2 >= n then raise Exit;
         Buffer.add_char b (Char.chr ((hex s.[i + 1] * 16) + hex s.[i + 2]));
         go (i + 3)
       end
@@ -126,10 +130,10 @@ let load ~path =
         List.iter
           (fun line ->
             match String.split_on_char ' ' line with
-            | [ "done"; idx; key ] -> (
-              match int_of_string_opt idx with
-              | Some i when i >= 0 && i < cells ->
-                entries.(i) <- Some (Done { key })
+            | [ "done"; idx; key; payload ] -> (
+              match (int_of_string_opt idx, decode_token payload) with
+              | Some i, Some payload when i >= 0 && i < cells ->
+                entries.(i) <- Some (Done { key; payload })
               | _ -> ())
             | [ "quar"; idx; attempts; err ] -> (
               match
@@ -158,12 +162,21 @@ let create ~path ~id ~spec ~cells =
   flush oc;
   { oc }
 
+(* Cut a torn final line off before appending: once the next record
+   terminated it, a prefix of a record could parse as a settled cell
+   with a truncated payload. *)
 let open_append ~path =
+  (match read_file path with
+  | Some s when not (String.ends_with ~suffix:"\n" s) ->
+    Unix.truncate path
+      (match String.rindex_opt s '\n' with Some k -> k + 1 | None -> 0)
+  | _ -> ());
   { oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path }
 
 let append t ~idx entry =
   match entry with
-  | Done { key } -> Printf.fprintf t.oc "done %d %s\n" idx key
+  | Done { key; payload } ->
+    Printf.fprintf t.oc "done %d %s %s\n" idx key (encode_token payload)
   | Quarantined { attempts; error } ->
     Printf.fprintf t.oc "quar %d %d %s\n" idx attempts (encode_token error)
 

@@ -1,25 +1,29 @@
 (** Campaign manifest: the append-only checkpoint log of a supervised
-    campaign.
+    campaign, and its only persistence.
 
-    A manifest records which cells of a campaign have settled — the
-    payloads themselves live in the {!Repcache.Store} disk tier under
-    the key each [done] line names, so the manifest stays tiny
-    (~50 bytes/cell) however large the campaign.  The four-line header
-    pins the minting engine version, the campaign id (a digest of the
-    spec plus every cell key, so a manifest can never be replayed
-    against a different campaign shape) and the campaign spec — the
-    single parseable line [wtcp resume] uses to rebuild the cells.
+    A manifest records every settled cell of a campaign together with
+    its payload, so a resume needs this one file and nothing else.  The
+    four-line header pins the minting engine version, the campaign id
+    (a digest of the spec plus every cell key, so a manifest can never
+    be replayed against a different campaign shape) and the campaign
+    spec — the single parseable line [wtcp resume] uses to rebuild the
+    cells.  Each settled cell then appends one record: [done <idx>
+    <key> <payload>] or [quar <idx> <attempts> <error>], free text
+    percent-encoded so a record is one space-separated line.
 
     Durability contract: the header is flushed before any cell runs;
-    completion lines are appended and flushed once per wave.  A kill
-    can tear at most the final line, which {!load} drops (along with
-    any otherwise unparseable line — unparseable means "not settled",
-    never an error), so the worst a torn manifest costs is
-    re-simulating one wave. *)
+    records are appended as cells settle and flushed every few
+    records.  A kill can tear at most the final line, which {!load}
+    drops (along with any otherwise unparseable line or a payload that
+    does not decode — unparseable means "not settled", never an
+    error), so the worst a torn manifest costs is re-simulating the
+    cells whose records had not been flushed.  Manifests written
+    before payloads moved into the records ([done <idx> <key>]) load
+    with every [done] cell unsettled. *)
 
 type entry =
-  | Done of { key : string }
-      (** settled; payload in the disk store under [key] *)
+  | Done of { key : string; payload : string }
+      (** settled; [payload] is the cell's encoded outcome *)
   | Quarantined of { attempts : int; error : string }
       (** permanently failed after [attempts] tries *)
 
@@ -43,10 +47,12 @@ val create : path:string -> id:string -> spec:string -> cells:int -> t
     @raise Invalid_argument if [spec] spans multiple lines. *)
 
 val open_append : path:string -> t
-(** Reopen an existing manifest for appending (the resume path). *)
+(** Reopen an existing manifest for appending (the resume path).  A
+    torn final line is cut off first, so no prefix of it can become a
+    complete record once the next record follows. *)
 
 val append : t -> idx:int -> entry -> unit
-(** Buffer one completion line; call {!flush} to make it durable. *)
+(** Buffer one completion record; call {!flush} to make it durable. *)
 
 val flush : t -> unit
 val close : t -> unit

@@ -1,15 +1,13 @@
 (* The supervised campaign runner: deadlines, retry-with-backoff,
    quarantine and checkpoint/resume over the work-stealing pool.
 
-   Execution is wave-based: the pending cells are chunked into waves
-   of ~8*jobs, each wave fans out over [Parallel.map_array], and all
-   bookkeeping — checkpoint flushes, manifest appends, the interrupt
-   poll — happens on the main domain between waves.  That keeps file
-   IO and signal state off the worker domains, bounds how much work
-   an interrupt loses to one wave, and preserves the pool's
-   determinism contract: outcomes merge by index, so the settled
-   array is byte-identical at any [jobs] and any interleaving of
-   interruptions and resumes. *)
+   Execution streams: one pool batch runs [jobs] participant loops,
+   each claiming pending cells one at a time off a shared cursor, so
+   no participant waits for a slow sibling.  Whichever participant
+   settles a cell appends its manifest record, under one mutex.
+   Outcomes merge by index, which keeps the settled array
+   byte-identical at any [jobs] and any interleaving of interruptions
+   and resumes. *)
 
 exception Worker_killed of { cell : int }
 
@@ -153,7 +151,7 @@ let budget_for config sabotage ~cell ~attempt =
       Some (relax base attempt)
 
 (* One cell, run to an outcome on whatever domain the pool picked.
-   Catches everything: a cell may fail, never the wave. *)
+   Catches everything: a cell may fail, never the campaign. *)
 let attempt_cell config sabotage cells i =
   let cell = cells.(i) in
   let rec go attempt =
@@ -190,6 +188,39 @@ let attempt_cell config sabotage cells i =
   in
   go 1
 
+(* Restore the cells a surviving manifest settled.  A [done] record
+   only counts if its key matches the rebuilt cell AND its payload
+   still decodes -- a poisoned record heals by re-simulation.  In
+   Verify cache mode every restored cell is re-simulated and compared,
+   turning resume into a determinism oracle. *)
+let restore cells outcomes (m : Manifest.loaded) =
+  let resumed = ref 0 in
+  Array.iteri
+    (fun i entry ->
+      match entry with
+      | None -> ()
+      | Some (Manifest.Quarantined { attempts; error }) ->
+        outcomes.(i) <- Some (Quarantined { attempts; error });
+        incr resumed
+      | Some (Manifest.Done { key; payload }) when key = cells.(i).key -> (
+        match cells.(i).decode payload with
+        | None -> ()
+        | Some v ->
+          (match Repcache.Cache.mode () with
+          | Repcache.Cache.Verify ->
+            let fresh = cells.(i).encode (cells.(i).simulate ()) in
+            let ok = String.equal fresh payload in
+            Repcache.Cache.note_verify ~ok;
+            if not ok then
+              raise
+                (Repcache.Cache.Verify_mismatch { key; cached = payload; fresh })
+          | _ -> ());
+          outcomes.(i) <- Some (Done v);
+          incr resumed)
+      | Some (Manifest.Done _) -> () (* foreign key: re-simulate *))
+    m.Manifest.entries;
+  !resumed
+
 let run ?(config = default_config) ?(jobs = 1) ?spec ?manifest_dir ?store_dir
     ?(sabotage = no_sabotage) ?should_stop (cells : 'a cell array) =
   if config.max_attempts < 1 then
@@ -198,76 +229,34 @@ let run ?(config = default_config) ?(jobs = 1) ?spec ?manifest_dir ?store_dir
     invalid_arg "Supervisor.run: relax_factor < 1";
   let n = Array.length cells in
   let outcomes : 'a outcome option array = Array.make n None in
-  let store_dir =
-    match store_dir with Some d -> d | None -> Repcache.Cache.dir ()
-  in
-  let resumed = ref 0 in
-  (* Checkpointing is on iff the campaign has a spec.  Restore settled
-     cells from a surviving manifest first: a [done] line only counts
-     if its key matches the rebuilt cell AND the disk store still
-     serves a decodable payload — a poisoned or vanished entry heals
-     by re-simulation.  In Verify cache mode every restored cell is
-     re-simulated and compared, turning resume into a determinism
-     oracle. *)
-  let manifest, manifest_path =
+  (* Checkpointing is on iff the campaign has a spec. *)
+  let resumed, manifest, manifest_path =
     match spec with
-    | None -> (None, None)
+    | None -> (0, None, None)
     | Some spec ->
       let keys = Array.map (fun c -> c.key) cells in
       let id = campaign_id ~spec ~keys in
       let dir =
-        match manifest_dir with
-        | Some d -> d
-        | None -> Filename.concat store_dir "campaigns"
+        match (manifest_dir, store_dir) with
+        | Some d, _ -> d
+        | None, d ->
+          Filename.concat
+            (Option.value d ~default:(Repcache.Cache.dir ()))
+            "campaigns"
       in
       let path = Manifest.path ~dir ~id in
-      let prior =
+      let resumed, t =
         match Manifest.load ~path with
         | Ok m
           when m.Manifest.header.Manifest.id = id
                && m.Manifest.header.Manifest.spec = spec
                && m.Manifest.header.Manifest.cells = n ->
-          Some m
-        | Ok _ | Error _ -> None
+          let resumed = restore cells outcomes m in
+          (resumed, Manifest.open_append ~path)
+        | Ok _ | Error _ -> (0, Manifest.create ~path ~id ~spec ~cells:n)
       in
-      (match prior with
-      | None -> ()
-      | Some m ->
-        Array.iteri
-          (fun i entry ->
-            match entry with
-            | None -> ()
-            | Some (Manifest.Quarantined { attempts; error }) ->
-              outcomes.(i) <- Some (Quarantined { attempts; error });
-              incr resumed
-            | Some (Manifest.Done { key }) when key = cells.(i).key -> (
-              match Repcache.Store.get ~dir:store_dir ~key with
-              | None -> () (* payload gone or poisoned: re-simulate *)
-              | Some payload -> (
-                match cells.(i).decode payload with
-                | None -> ()
-                | Some v ->
-                  (match Repcache.Cache.mode () with
-                  | Repcache.Cache.Verify ->
-                    let fresh = cells.(i).encode (cells.(i).simulate ()) in
-                    let ok = String.equal fresh payload in
-                    Repcache.Cache.note_verify ~ok;
-                    if not ok then
-                      raise
-                        (Repcache.Cache.Verify_mismatch
-                           { key; cached = payload; fresh })
-                  | _ -> ());
-                  outcomes.(i) <- Some (Done v);
-                  incr resumed))
-            | Some (Manifest.Done _) -> () (* foreign key: re-simulate *))
-          m.Manifest.entries);
-      ignore (Atomic.fetch_and_add resumed_total !resumed);
-      let t =
-        match prior with
-        | Some _ -> Manifest.open_append ~path
-        | None -> Manifest.create ~path ~id ~spec ~cells:n
-      in
-      (Some t, Some path)
+      ignore (Atomic.fetch_and_add resumed_total resumed);
+      (resumed, Some t, Some path)
   in
   let pending =
     Array.of_list
@@ -275,72 +264,91 @@ let run ?(config = default_config) ?(jobs = 1) ?spec ?manifest_dir ?store_dir
          (fun i -> outcomes.(i) = None)
          (List.init n (fun i -> i)))
   in
-  let wave_size =
+  let flush_every =
     match config.wave_size with
-    | Some w -> Stdlib.max 1 w
-    | None -> Stdlib.max 16 (8 * Stdlib.max 1 jobs)
+    | Some w -> Int.max 1 w
+    | None -> Int.max 16 (8 * Int.max 1 jobs)
   in
-  let interrupted = ref false in
-  let completed = ref 0 in
-  let quarantined = ref 0 in
-  let pos = ref 0 in
-  while (not !interrupted) && !pos < Array.length pending do
-    (match should_stop with
-    | Some f when f ~completed:!completed -> interrupted := true
-    | _ -> ());
-    if not !interrupted then begin
-      let hi = Stdlib.min (Array.length pending) (!pos + wave_size) in
-      let batch = Array.sub pending !pos (hi - !pos) in
-      pos := hi;
-      let results =
-        Sim_engine.Parallel.map_array ~jobs
-          (attempt_cell config sabotage cells)
-          batch
-      in
-      Array.iteri
-        (fun bi outcome ->
-          let i = batch.(bi) in
-          outcomes.(i) <- Some outcome;
-          incr completed;
-          (match outcome with
-          | Quarantined _ -> incr quarantined
-          | Done _ -> ());
-          match manifest with
-          | None -> ()
-          | Some m -> (
-            match outcome with
-            | Done v ->
-              Repcache.Store.put ~dir:store_dir ~key:cells.(i).key
-                (cells.(i).encode v);
-              (* Poison sabotage: corrupt the freshly flushed payload
-                 so a later resume exercises the healing path. *)
-              (if sabotage.poison_cell = Some i then
-                 let path =
-                   Repcache.Store.entry_path ~dir:store_dir ~key:cells.(i).key
-                 in
-                 try
-                   let oc = open_out_bin path in
-                   output_string oc "poisoned by sabotage\n";
-                   close_out_noerr oc
-                 with Sys_error _ -> ());
-              Manifest.append m ~idx:i (Manifest.Done { key = cells.(i).key })
-            | Quarantined { attempts; error } ->
-              Manifest.append m ~idx:i
-                (Manifest.Quarantined { attempts; error })))
-        results;
-      match manifest with
-      | None -> ()
-      | Some m ->
-        Manifest.flush m;
-        Atomic.incr flushes_total
+  let lock = Mutex.create () in
+  let settled = ref 0 and unflushed = ref 0 in
+  let flush m =
+    if !unflushed > 0 then begin
+      Manifest.flush m;
+      Atomic.incr flushes_total;
+      unflushed := 0
     end
-  done;
-  (match manifest with None -> () | Some m -> Manifest.close m);
+  in
+  (* Record one settled cell on the domain that settled it: encode
+     outside the lock, append (and every [flush_every] records flush)
+     under it.  Returns the number of cells this run has settled. *)
+  let persist i outcome =
+    outcomes.(i) <- Some outcome;
+    let entry =
+      match (manifest, outcome) with
+      | None, _ -> None
+      | Some _, Done v ->
+        (* Poison sabotage: persist a payload the cell cannot decode,
+           so a later resume exercises the healing path. *)
+        let payload =
+          if sabotage.poison_cell = Some i then "poisoned by sabotage\n"
+          else cells.(i).encode v
+        in
+        Some (Manifest.Done { key = cells.(i).key; payload })
+      | Some _, Quarantined { attempts; error } ->
+        Some (Manifest.Quarantined { attempts; error })
+    in
+    Mutex.protect lock (fun () ->
+        (match (manifest, entry) with
+        | Some m, Some e ->
+          Manifest.append m ~idx:i e;
+          incr unflushed;
+          if !unflushed >= flush_every then flush m
+        | _ -> ());
+        incr settled;
+        !settled)
+  in
+  let cursor = Atomic.make 0 and stop = Atomic.make false in
+  (* One participant: claim, simulate, record, poll the interrupt.
+     Any exception -- a persistence failure included -- stops every
+     participant from claiming further cells before it propagates out
+     of the batch. *)
+  let participant () =
+    let rec loop () =
+      if not (Atomic.get stop) then begin
+        let k = Atomic.fetch_and_add cursor 1 in
+        if k < Array.length pending then begin
+          let i = pending.(k) in
+          let count = persist i (attempt_cell config sabotage cells i) in
+          (match should_stop with
+          | Some f when f ~completed:count -> Atomic.set stop true
+          | _ -> ());
+          loop ()
+        end
+      end
+    in
+    match loop () with
+    | () -> ()
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Atomic.set stop true;
+      Printexc.raise_with_backtrace e bt
+  in
+  Fun.protect
+    ~finally:(fun () -> Option.iter Manifest.close manifest)
+    (fun () ->
+      ignore
+        (Sim_engine.Parallel.map_array ~jobs participant
+           (Array.make (Int.min (Array.length pending) (Int.max 1 jobs)) ()));
+      Option.iter flush manifest);
   {
     outcomes;
-    completed = !completed;
-    resumed = !resumed;
-    quarantined = !quarantined;
-    interrupted = !interrupted;
+    completed = !settled;
+    resumed;
+    quarantined =
+      Array.fold_left
+        (fun acc i ->
+          match outcomes.(i) with Some (Quarantined _) -> acc + 1 | _ -> acc)
+        0 pending;
+    interrupted = Array.exists Option.is_none outcomes;
     manifest_path;
   }

@@ -11,9 +11,10 @@
     and quarantining cells that fail every attempt instead of sinking
     the campaign.
 
-    When a campaign [spec] is supplied, completed cells are flushed
-    incrementally — payloads through the {!Repcache.Store} disk tier,
-    completion lines through a {!Manifest} — so an interrupted
+    Cells stream: [jobs] participants claim pending cells one at a
+    time, so there is no per-batch barrier.  When a campaign [spec] is
+    supplied, each settled cell is appended to a {!Manifest} — payload
+    included, the campaign's only persistence — so an interrupted
     campaign resumes by re-simulating only the missing cells.  Because
     outcomes merge by cell index and each cell re-simulates from its
     own seed, a resumed campaign is byte-identical to an uninterrupted
@@ -34,7 +35,9 @@ type stats = {
   backoff_ms : int;  (** total real time slept before retries *)
   quarantined : int;  (** cells that failed every attempt *)
   resumed_cells : int;  (** cells restored from a manifest *)
-  checkpoint_flushes : int;  (** manifest flushes (one per wave) *)
+  checkpoint_flushes : int;
+      (** manifest flushes: one per [wave_size] settled cells, plus
+          one for the remainder *)
 }
 
 val stats : unit -> stats
@@ -54,21 +57,22 @@ type config = {
       (** budget multiplier per retry, so deterministic deadline
           failures get real headroom before quarantine *)
   wave_size : int option;
-      (** cells per checkpoint wave; [None] = max 16 (8*jobs).  The
-          interrupt poll and manifest flush happen once per wave, so a
-          smaller wave bounds interrupt loss at more flush traffic. *)
+      (** settled cells per manifest flush; [None] = max 16 (8*jobs).
+          A smaller value loses fewer settled cells to a hard kill
+          (SIGKILL, power loss) at more flush traffic; a requested
+          stop loses none. *)
 }
 
 val default_config : config
 (** No deadline, 3 attempts, 25ms base doubling to a 1s cap, 8x
-    budget relaxation per retry, default wave size. *)
+    budget relaxation per retry, default flush interval. *)
 
 type sabotage = {
   kill_cell : int option;
       (** raise {!Worker_killed} on this cell's first attempt *)
   poison_cell : int option;
-      (** corrupt this cell's store entry right after its checkpoint
-          flush, so a resume must heal it *)
+      (** write this cell's manifest record with a payload the cell
+          cannot decode, so a resume must heal it *)
   force_deadline_cell : int option;
       (** pin this cell to a 1-event budget on {e every} attempt: a
           deterministic deadline failure that must end in quarantine *)
@@ -81,7 +85,9 @@ val no_sabotage : sabotage
 type 'a cell = {
   key : string;  (** content-addressed payload key *)
   simulate : unit -> 'a;  (** deterministic; safe to re-run *)
-  encode : 'a -> string;  (** exact codec for the store tier *)
+  encode : 'a -> string;
+      (** exact codec for the manifest record; runs on whichever
+          domain settled the cell *)
   decode : string -> 'a option;
 }
 
@@ -114,24 +120,32 @@ val run :
   'a report
 (** Drive every cell to an outcome.
 
-    [spec] (a single line) turns on checkpointing: payloads flush to
-    the store under each cell's key, completion lines to the manifest
-    at [manifest_dir] (default [<store_dir>/campaigns]), once per
-    wave.  A pre-existing manifest whose id matches restores its
-    settled cells — a restored [Done] requires the store payload to
-    still decode (a poisoned entry heals by re-simulation), and under
-    {!Repcache.Cache.Verify} mode each restored cell is re-simulated
-    and compared, raising {!Repcache.Cache.Verify_mismatch} on
-    divergence.  Quarantined cells are restored as-is.
+    [spec] (a single line) turns on checkpointing: each settled cell
+    appends one record, payload included, to the manifest at
+    [manifest_dir] (default [<store_dir>/campaigns]), flushed every
+    [wave_size] records and at the end.  A pre-existing manifest whose
+    id matches restores its settled cells — a restored [Done] requires
+    its payload to decode (a poisoned record heals by re-simulation),
+    and under {!Repcache.Cache.Verify} mode each restored cell is
+    re-simulated and compared, raising
+    {!Repcache.Cache.Verify_mismatch} on divergence.  Quarantined cells
+    are restored as-is.
 
-    [should_stop] is polled on the main domain between waves; when it
-    returns [true] the run flushes what settled and returns with
-    [interrupted = true].  At most one wave (~8*[jobs] cells) of work
-    is lost to an interrupt.
+    [should_stop] is polled after every settled cell, on the domain
+    that settled it, so it must be safe to call from any domain; once
+    it returns [true] no participant claims another cell, the cells
+    already running finish and are recorded, and the run returns with
+    [interrupted = true] if any cell is left unsettled.  An interrupt
+    loses at most the cells in flight, never a settled one.
 
-    [store_dir] defaults to {!Repcache.Cache.dir}; checkpointing works
-    regardless of the {!Repcache.Cache.mode} (the memo tier is not
-    involved).
+    If persisting a cell fails (its [encode], or a manifest write,
+    raises), the participants stop claiming cells, the ones running
+    finish, and the exception is re-raised; the manifest is closed on
+    every exit path.
+
+    [store_dir] only locates the default manifest directory; it
+    defaults to {!Repcache.Cache.dir}.  Checkpointing works regardless
+    of the {!Repcache.Cache.mode}.
 
     @raise Invalid_argument if [max_attempts < 1] or
     [relax_factor < 1]. *)

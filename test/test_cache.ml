@@ -384,11 +384,11 @@ let test_store_damaged_tree_degrades () =
   let squatted_key = String.make 32 '3' in
   Store.put ~dir ~key:valid_key "keep me\n";
   Store.put ~dir ~key:truncated_key "about to be torn\n";
-  let tpath = Store.entry_path ~dir ~key:truncated_key in
+  let tpath = entry_path ~dir ~key:truncated_key in
   let full = In_channel.with_open_bin tpath In_channel.input_all in
   Out_channel.with_open_bin tpath (fun oc ->
       Out_channel.output_string oc (String.sub full 0 (String.length full - 3)));
-  let spath = Store.entry_path ~dir ~key:squatted_key in
+  let spath = entry_path ~dir ~key:squatted_key in
   let sdir = Filename.dirname spath in
   if not (Sys.file_exists sdir) then Sys.mkdir sdir 0o755;
   Sys.mkdir spath 0o755;

@@ -2,10 +2,11 @@
    (torn-tail tolerance included), deadline enforcement through the
    simulator's event budget, retry tiers that rescue transient
    deadline misses, quarantine of deterministic failures, the
-   sabotage injectors (killed worker, poisoned checkpoint), and the
-   headline contract — an interrupted-and-resumed campaign is
-   byte-identical to an uninterrupted one at any jobs, pinned by a
-   qcheck property that kills at a random cell index.
+   sabotage injectors (killed worker, poisoned checkpoint), a
+   persistence failure stopping the campaign, and the headline
+   contract — an interrupted-and-resumed campaign is byte-identical to
+   an uninterrupted one at any jobs, pinned by qcheck properties that
+   kill at a random cell index.
 
    Supervisor state that is process-global (cache mode, counters) is
    restored on the way out of every test that touches it. *)
@@ -34,13 +35,18 @@ let with_dirs f =
 (* Manifest                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let qc = QCheck_alcotest.to_alcotest
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+let write_all path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
 let test_manifest_roundtrip () =
   with_dirs @@ fun ~store:_ ~manifests ->
   let path = Campaign_manifest.path ~dir:manifests ~id:"abc123" in
   let spec = "chaos plans=4 seed=1 cc=tahoe check=1" in
+  let payload = "c1 6212 4%x C1\nsecond line" in
   let t = Campaign_manifest.create ~path ~id:"abc123" ~spec ~cells:4 in
   Campaign_manifest.append t ~idx:0
-    (Campaign_manifest.Done { key = "deadbeef" });
+    (Campaign_manifest.Done { key = "deadbeef"; payload });
   Campaign_manifest.append t ~idx:2
     (Campaign_manifest.Quarantined
        { attempts = 3; error = "Simulator.Fault: boom, with spaces\nand \
@@ -54,8 +60,9 @@ let test_manifest_roundtrip () =
     Alcotest.(check string) "spec" spec m.Campaign_manifest.header.spec;
     Alcotest.(check int) "cells" 4 m.Campaign_manifest.header.cells;
     (match m.Campaign_manifest.entries.(0) with
-    | Some (Campaign_manifest.Done { key }) ->
-      Alcotest.(check string) "done key" "deadbeef" key
+    | Some (Campaign_manifest.Done { key; payload = p }) ->
+      Alcotest.(check string) "done key" "deadbeef" key;
+      Alcotest.(check string) "done payload" payload p
     | _ -> Alcotest.fail "cell 0 not Done");
     Alcotest.(check bool) "cell 1 unsettled" true
       (m.Campaign_manifest.entries.(1) = None);
@@ -72,35 +79,114 @@ let test_manifest_torn_tail () =
   with_dirs @@ fun ~store:_ ~manifests ->
   let path = Campaign_manifest.path ~dir:manifests ~id:"torn" in
   let t = Campaign_manifest.create ~path ~id:"torn" ~spec:"spec x=1" ~cells:3 in
-  Campaign_manifest.append t ~idx:0 (Campaign_manifest.Done { key = "k0" });
-  Campaign_manifest.append t ~idx:1 (Campaign_manifest.Done { key = "k1" });
+  let done_ key payload = Campaign_manifest.Done { key; payload } in
+  Campaign_manifest.append t ~idx:0 (done_ "k0" "payload 0");
+  Campaign_manifest.append t ~idx:1 (done_ "k1" "payload 1");
   Campaign_manifest.flush t;
   Campaign_manifest.close t;
   (* Tear the final line mid-write: the loader must drop it and keep
-     the intact prefix. *)
-  let ic = open_in_bin path in
-  let full = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let torn = String.sub full 0 (String.length full - 4) in
-  let oc = open_out_bin path in
-  output_string oc torn;
-  close_out oc;
+     the intact prefix.  The cut leaves "done 1 k1 payloa", a prefix
+     whose payload would decode if the line were ever terminated. *)
+  let full = read_all path in
+  write_all path (String.sub full 0 (String.length full - 6));
   (match Campaign_manifest.load ~path with
   | Error msg -> Alcotest.failf "torn load failed: %s" msg
   | Ok m ->
     Alcotest.(check bool) "cell 0 survives" true
-      (m.Campaign_manifest.entries.(0)
-      = Some (Campaign_manifest.Done { key = "k0" }));
+      (m.Campaign_manifest.entries.(0) = Some (done_ "k0" "payload 0"));
     Alcotest.(check bool) "torn cell 1 dropped" true
       (m.Campaign_manifest.entries.(1) = None));
+  (* Reopened after the tear, the torn line is cut off: the next
+     record loads and the torn cell stays unsettled. *)
+  let t = Campaign_manifest.open_append ~path in
+  Campaign_manifest.append t ~idx:2 (done_ "k2" "payload 2");
+  Campaign_manifest.close t;
+  (match Campaign_manifest.load ~path with
+  | Error msg -> Alcotest.failf "reopened load failed: %s" msg
+  | Ok m ->
+    Alcotest.(check bool) "torn cell 1 still unsettled" true
+      (m.Campaign_manifest.entries.(1) = None);
+    Alcotest.(check bool) "record after the tear survives" true
+      (m.Campaign_manifest.entries.(2) = Some (done_ "k2" "payload 2")));
+  (* A payload that does not decode, and a record in the old
+     payload-less format, both read as unsettled. *)
+  let header =
+    "wtcp-campaign " ^ Fingerprint.engine_version
+    ^ "\nid torn\nspec spec x=1\ncells 3\n"
+  in
+  write_all path (header ^ "done 0 k0 bad%zz\ndone 1 k1 trailing%\ndone 2 k2\n");
+  (match Campaign_manifest.load ~path with
+  | Error msg -> Alcotest.failf "damaged-payload load failed: %s" msg
+  | Ok m ->
+    Alcotest.(check bool) "undecodable payloads and old records unsettled" true
+      (Array.for_all Option.is_none m.Campaign_manifest.entries));
   (* A manifest minted by another engine version is refused whole. *)
-  let oc = open_out_bin path in
-  output_string oc "wtcp-campaign wtcp-engine-0.0.1\nid torn\nspec spec \
-                    x=1\ncells 3\n";
-  close_out oc;
+  write_all path "wtcp-campaign wtcp-engine-0.0.1\nid torn\nspec spec \
+                  x=1\ncells 3\n";
   match Campaign_manifest.load ~path with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "stale engine version accepted"
+
+(* Any payloads — spaces, '%', newlines, the empty string, arbitrary
+   bytes — survive append/load exactly.  Tearing the final record at
+   every cut inside its line leaves just that cell unsettled, before
+   and after a resume reopens the manifest and appends one more
+   record, which loads. *)
+let qcheck_manifest_payload_roundtrip =
+  let payload =
+    QCheck.(
+      oneof
+        [
+          oneofl [ ""; " "; "%"; "\n"; "%25"; "a b%c\nd"; "%%\n\n  " ];
+          small_string;
+          string_gen_of_size Gen.small_nat
+            (Gen.oneofl [ ' '; '%'; '\n'; 'a'; '0'; 'f' ]);
+        ])
+  in
+  QCheck.Test.make ~count:200 ~name:"manifest payload round-trip and torn record"
+    QCheck.(list_of_size Gen.(1 -- 6) payload)
+    (fun payloads ->
+      with_dirs @@ fun ~store:_ ~manifests ->
+      let path = Campaign_manifest.path ~dir:manifests ~id:"qc" in
+      let n = List.length payloads in
+      let record idx payload =
+        Campaign_manifest.Done { key = Printf.sprintf "k%d" idx; payload }
+      in
+      (* One spare cell, n, for the record appended after a tear. *)
+      let t = Campaign_manifest.create ~path ~id:"qc" ~spec:"qc" ~cells:(n + 1) in
+      List.iteri (fun idx p -> Campaign_manifest.append t ~idx (record idx p)) payloads;
+      Campaign_manifest.close t;
+      let entries () =
+        match Campaign_manifest.load ~path with
+        | Ok m -> m.Campaign_manifest.entries
+        | Error msg -> QCheck.Test.fail_reportf "load failed: %s" msg
+      in
+      let intact_prefix e =
+        List.for_all2
+          (fun i p -> i = n - 1 || e.(i) = Some (record i p))
+          (List.init n Fun.id) payloads
+      in
+      let intact = entries () in
+      let full = read_all path in
+      let last_start = String.rindex_from full (String.length full - 2) '\n' + 1 in
+      let line_len = String.length full - last_start in
+      intact_prefix intact
+      && intact.(n - 1) = Some (record (n - 1) (List.nth payloads (n - 1)))
+      && List.for_all
+           (fun cut ->
+             write_all path (String.sub full 0 (String.length full - cut));
+             let torn = entries () in
+             let t = Campaign_manifest.open_append ~path in
+             Campaign_manifest.append t ~idx:n (record n "after the tear");
+             Campaign_manifest.close t;
+             let reopened = entries () in
+             torn.(n - 1) = None
+             && intact_prefix torn
+             && reopened.(n - 1) = None
+             && intact_prefix reopened
+             && reopened.(n) = Some (record n "after the tear"))
+           (* Cut between 1 byte and the whole final line. *)
+           (List.init line_len (fun c -> c + 1)))
 
 (* ------------------------------------------------------------------ *)
 (* Supervisor core                                                     *)
@@ -225,6 +311,23 @@ let test_kill_sabotage_recovers () =
       | _ -> Alcotest.fail "expected Done")
     r.Supervisor.outcomes
 
+(* Replace the payload of cell [idx]'s [done] record in place.  The
+   payloads these tests write need no percent-encoding. *)
+let rewrite_record ~manifests ~spec cells idx payload =
+  let keys = Array.map (fun c -> c.Supervisor.key) cells in
+  let path =
+    Campaign_manifest.path ~dir:manifests ~id:(Supervisor.campaign_id ~spec ~keys)
+  in
+  let prefix = Printf.sprintf "done %d %s " idx keys.(idx) in
+  let lines = String.split_on_char '\n' (read_all path) in
+  if not (List.exists (String.starts_with ~prefix) lines) then
+    Alcotest.failf "no record for cell %d" idx;
+  write_all path
+    (String.concat "\n"
+       (List.map
+          (fun l -> if String.starts_with ~prefix l then prefix ^ payload else l)
+          lines))
+
 let test_checkpoint_resume_and_poison_heal () =
   with_dirs @@ fun ~store ~manifests ->
   let spec = "test cells=8" in
@@ -241,14 +344,9 @@ let test_checkpoint_resume_and_poison_heal () =
   Alcotest.(check int) "resume restores all" 8 again.Supervisor.resumed;
   Alcotest.(check bool) "outcomes identical" true
     (full.Supervisor.outcomes = again.Supervisor.outcomes);
-  (* Poison one store entry: the resume heals it by re-simulating just
-     that cell. *)
-  let poisoned_key = (cells ()).(3).Supervisor.key in
-  let oc =
-    open_out_bin (Cache_store.entry_path ~dir:store ~key:poisoned_key)
-  in
-  output_string oc "garbage";
-  close_out oc;
+  (* Poison one cell's record: the resume heals it by re-simulating
+     just that cell. *)
+  rewrite_record ~manifests ~spec (cells ()) 3 "garbage";
   let healed =
     Supervisor.run ~spec ~store_dir:store ~manifest_dir:manifests (cells ())
   in
@@ -266,7 +364,7 @@ let test_verify_mismatch_on_resume () =
   (* Overwrite a checkpoint with a VALID but wrong payload: only
      verify mode can catch this. *)
   let key = (cells ()).(1).Supervisor.key in
-  Cache_store.put ~dir:store ~key (string_of_int 999_999);
+  rewrite_record ~manifests ~spec (cells ()) 1 (string_of_int 999_999);
   Fun.protect
     ~finally:(fun () ->
       Cache.set_mode Cache.Off;
@@ -279,6 +377,99 @@ let test_verify_mismatch_on_resume () =
       | exception Cache.Verify_mismatch { key = k; _ } ->
         Alcotest.(check string) "mismatch names the entry" key k
       | _ -> Alcotest.fail "verify mode accepted a forged checkpoint")
+
+(* A persistence failure stops the campaign: every participant stops
+   claiming cells, the exception reaches the caller, and the manifest
+   is closed with its header intact.  Checked with every cell's
+   [encode] failing, and with only cell 0's failing, where the other
+   participant would otherwise run on to the end. *)
+let test_persist_failure_stops_campaign () =
+  List.iter
+    (fun failing ->
+      with_dirs @@ fun ~store ~manifests ->
+      let spec = "test encode-fails" in
+      let simulated = Atomic.make 0 in
+      let cells =
+        Array.init 64 (fun i ->
+            let c = sim_cell ~events:2_000 i in
+            {
+              c with
+              Supervisor.simulate =
+                (fun () ->
+                  Atomic.incr simulated;
+                  c.Supervisor.simulate ());
+              encode =
+                (fun v ->
+                  if failing i then failwith "encode failed"
+                  else c.Supervisor.encode v);
+            })
+      in
+      (match
+         Supervisor.run ~jobs:2 ~spec ~store_dir:store ~manifest_dir:manifests
+           cells
+       with
+      | exception Failure msg ->
+        Alcotest.(check string) "the encode failure" "encode failed" msg
+      | _ -> Alcotest.fail "a failing encode did not stop the campaign");
+      Alcotest.(check bool) "stopped before simulating every cell" true
+        (Atomic.get simulated < 64);
+      let keys = Array.map (fun c -> c.Supervisor.key) cells in
+      let path =
+        Campaign_manifest.path ~dir:manifests
+          ~id:(Supervisor.campaign_id ~spec ~keys)
+      in
+      match Campaign_manifest.load ~path with
+      | Ok m ->
+        Alcotest.(check int) "header intact" 64 m.Campaign_manifest.header.cells
+      | Error msg -> Alcotest.failf "manifest unreadable after the failure: %s" msg)
+    [ (fun _ -> true); (fun i -> i = 0) ]
+
+(* Streaming interrupt accounting, at jobs 1, 2 and 4 and a random
+   stop threshold: the interrupt loses at most the cells in flight,
+   every cell the interrupted run settled has a record, the resume
+   restores exactly those and simulates the rest, and the resumed
+   outcomes equal the uninterrupted reference. *)
+let qcheck_interrupt_accounting =
+  QCheck.Test.make ~count:12 ~name:"streaming interrupt: settled == recorded == resumed"
+    QCheck.(pair (int_bound 20) (oneofl [ 1; 2; 4 ]))
+    (fun (threshold, jobs) ->
+      with_dirs @@ fun ~store ~manifests ->
+      let spec = "test streaming" in
+      let cells () = Array.init 24 (sim_cell ~events:2_000) in
+      let total = 24 in
+      let reference = Supervisor.run ~jobs:1 (cells ()) in
+      let run ?should_stop () =
+        Supervisor.run ~jobs ~spec ~store_dir:store ~manifest_dir:manifests
+          ?should_stop (cells ())
+      in
+      let killed = run ~should_stop:(fun ~completed -> completed > threshold) () in
+      let settled =
+        Array.fold_left (fun acc o -> if o = None then acc else acc + 1) 0
+          killed.Supervisor.outcomes
+      in
+      let recorded =
+        match Option.map (fun path -> Campaign_manifest.load ~path)
+                killed.Supervisor.manifest_path with
+        | Some (Ok m) -> m.Campaign_manifest.entries
+        | _ -> QCheck.Test.fail_report "interrupted manifest unreadable"
+      in
+      let every_settled_recorded =
+        Array.for_all2
+          (fun o r -> Option.is_some o = Option.is_some r)
+          killed.Supervisor.outcomes recorded
+      in
+      let resumed = run () in
+      settled = killed.Supervisor.completed
+      (* The stop fires at threshold + 1; only cells already running
+         on the other participants may settle after it. *)
+      && settled > threshold
+      && settled <= threshold + jobs
+      && killed.Supervisor.interrupted = (settled < total)
+      && every_settled_recorded
+      && resumed.Supervisor.resumed = settled
+      && resumed.Supervisor.completed = total - settled
+      && (not resumed.Supervisor.interrupted)
+      && resumed.Supervisor.outcomes = reference.Supervisor.outcomes)
 
 (* ------------------------------------------------------------------ *)
 (* Campaigns                                                           *)
@@ -329,9 +520,9 @@ let test_campaign_resume_identity () =
   Alcotest.(check bool) "reference ok" true reference.Campaigns.ok;
   Alcotest.(check bool) "reference not interrupted" false
     reference.Campaigns.interrupted;
-  (* Interrupt at the second wave boundary, then resume at jobs=4. *)
+  (* Interrupt once two cells have settled, then resume at jobs=4. *)
   let interrupted =
-    Campaigns.run ~store_dir:store ~manifest_dir:manifests ~wave_size:2
+    Campaigns.run ~store_dir:store ~manifest_dir:manifests
       ~should_stop:(fun ~completed -> completed >= 2)
       ~options:opts (chaos_kind 5)
   in
@@ -393,15 +584,15 @@ let test_campaign_warm_and_verify_resume () =
   with_dirs @@ fun ~store ~manifests ->
   let opts = Campaigns.default_options in
   let resume = { opts with Campaigns.resume = true } in
-  let run ?wave_size ?should_stop ~jobs options =
-    Campaigns.run ~jobs ?wave_size ?should_stop ~store_dir:store
+  let run ?should_stop ~jobs options =
+    Campaigns.run ~jobs ?should_stop ~store_dir:store
       ~manifest_dir:manifests ~options (chaos_kind 4)
   in
   let reference = run ~jobs:1 opts in
   rm_rf store;
   let same = same_report ~reference in
   let interrupted =
-    run ~jobs:2 ~wave_size:2
+    run ~jobs:2
       ~should_stop:(fun ~completed -> completed >= 2)
       opts
   in
@@ -506,11 +697,11 @@ let qcheck_kill_resume_identity =
         Campaigns.run ~jobs ~store_dir:store ~manifest_dir:manifests
           ~options:opts (chaos_kind 4)
       in
-      (* Fresh store so the kill run cannot see the reference's
-         checkpoints. *)
+      (* The kill run starts cold: a non-resume run deletes the
+         reference's manifest, and a campaign reads nothing else. *)
       rm_rf store;
       let _killed =
-        Campaigns.run ~jobs ~wave_size:1 ~store_dir:store
+        Campaigns.run ~jobs ~store_dir:store
           ~manifest_dir:manifests
           ~should_stop:(fun ~completed -> completed > kill_after)
           ~options:opts (chaos_kind 4)
@@ -524,8 +715,6 @@ let qcheck_kill_resume_identity =
       && reference.Campaigns.json = resumed.Campaigns.json
       && not resumed.Campaigns.interrupted)
 
-let qc = QCheck_alcotest.to_alcotest
-
 let () =
   Alcotest.run "supervise"
     [
@@ -535,6 +724,7 @@ let () =
             test_manifest_roundtrip;
           Alcotest.test_case "torn tail and stale engine" `Quick
             test_manifest_torn_tail;
+          qc qcheck_manifest_payload_roundtrip;
         ] );
       ( "supervisor",
         [
@@ -550,6 +740,9 @@ let () =
             test_checkpoint_resume_and_poison_heal;
           Alcotest.test_case "verify mode catches forged checkpoint" `Quick
             test_verify_mismatch_on_resume;
+          Alcotest.test_case "persistence failure stops the campaign" `Quick
+            test_persist_failure_stops_campaign;
+          qc qcheck_interrupt_accounting;
         ] );
       ( "campaigns",
         [
