@@ -7,18 +7,66 @@ open Topology
 let engine_version = "wtcp-engine-1.8.0"
 
 let pf = Printf.bprintf
+let add = Buffer.add_string
 
-(* Exact scalar renderings: a float goes through its IEEE-754 bit
-   pattern, so distinct values (including infinities and signed
-   zeros) never alias. *)
-let int_f b name v = pf b " %s=%d" name v
-let bool_f b name v = pf b " %s=%b" name v
-let float_f b name v = pf b " %s=%Ld" name (Int64.bits_of_float v)
-let str_f b name v = pf b " %s=%s" name v
-let span_f b name s = pf b " %s=%dns" name (Simtime.span_to_ns s)
+(* Decimal writers, byte-identical to [%d] and [%Ld] but without
+   Printf's format interpretation.  Digits are produced on the
+   non-positive side, so [min_int] needs no negation. *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_neg_digits b n
+  end
+  else add_neg_digits b (-n)
+
+(* [n / 10] of any [int64] fits an [int]: write it, then the last
+   digit. *)
+let add_int64 b n =
+  let q = Int64.to_int (Int64.div n 10L) in
+  let r = Int64.to_int (Int64.rem n 10L) in
+  if q = 0 then add_int b r
+  else begin
+    add_int b q;
+    Buffer.add_char b (Char.unsafe_chr (48 + Int.abs r))
+  end
+
+(* One field: " name=" then the value.  Exact scalar renderings: a
+   float goes through its IEEE-754 bit pattern, so distinct values
+   (including infinities and signed zeros) never alias. *)
+let label b name =
+  Buffer.add_char b ' ';
+  add b name;
+  Buffer.add_char b '='
+
+let int_f b name v =
+  label b name;
+  add_int b v
+
+let bool_f b name v =
+  label b name;
+  add b (if v then "true" else "false")
+
+let float_f b name v =
+  label b name;
+  add_int64 b (Int64.bits_of_float v)
+
+let str_f b name v =
+  label b name;
+  add b v
+
+let span_f b name s =
+  label b name;
+  add_int b (Simtime.span_to_ns s);
+  add b "ns"
 
 let bandwidth_f b name v =
-  pf b " %s=%dbps" name (Netsim.Units.bandwidth_to_bps v)
+  label b name;
+  add_int b (Netsim.Units.bandwidth_to_bps v);
+  add b "bps"
 
 let state_tag = function
   | Error_model.Channel_state.Good -> 'g'
@@ -34,16 +82,16 @@ let add_error_mode b (mode : Scenario.error_mode) =
       (fun (state, span) ->
         pf b ";%c%d" (state_tag state) (Simtime.span_to_ns span))
       periods;
-    pf b "]"
+    Buffer.add_char b ']'
 
 let add_wired b (w : Scenario.wired) =
-  pf b "\nwired";
+  add b "\nwired";
   bandwidth_f b "bw" w.Scenario.bandwidth;
   span_f b "delay" w.Scenario.delay;
   int_f b "queue" w.Scenario.queue_capacity
 
 let add_wireless b (w : Scenario.wireless) =
-  pf b "\nwireless";
+  add b "\nwireless";
   bandwidth_f b "raw_bw" w.Scenario.raw_bandwidth;
   span_f b "delay" w.Scenario.delay;
   (match w.Scenario.mtu with
@@ -57,14 +105,14 @@ let add_wireless b (w : Scenario.wireless) =
   add_error_mode b w.Scenario.error_mode
 
 let add_arq b (a : Link_arq.Arq.config) =
-  pf b "\narq";
+  add b "\narq";
   int_f b "rt_max" a.Link_arq.Arq.rt_max;
   int_f b "window" a.Link_arq.Arq.window;
   span_f b "ack_margin" a.Link_arq.Arq.ack_timeout_margin;
   (match a.Link_arq.Arq.backoff with
-  | Link_arq.Backoff.Uniform max ->
+  | Link_arq.Backoff.Uniform cap ->
     str_f b "backoff" "uniform";
-    span_f b "max" max
+    span_f b "max" cap
   | Link_arq.Backoff.Binary_exponential { base; cap } ->
     str_f b "backoff" "binexp";
     span_f b "base" base;
@@ -77,7 +125,7 @@ let add_arq b (a : Link_arq.Arq.config) =
   bool_f b "defer_on_backoff" a.Link_arq.Arq.defer_on_backoff
 
 let add_tcp b (t : Tcp_tahoe.Tcp_config.t) =
-  pf b "\ntcp";
+  add b "\ntcp";
   str_f b "cc" (Tcp_tahoe.Tcp_config.cc_name t.Tcp_tahoe.Tcp_config.cc);
   int_f b "mss" t.Tcp_tahoe.Tcp_config.mss;
   int_f b "header" t.Tcp_tahoe.Tcp_config.header_bytes;
@@ -99,14 +147,14 @@ let add_tcp b (t : Tcp_tahoe.Tcp_config.t) =
   int_f b "vegas_gamma" t.Tcp_tahoe.Tcp_config.vegas_gamma
 
 let add_snoop b (s : Agents.Snoop.config) =
-  pf b "\nsnoop";
+  add b "\nsnoop";
   span_f b "rto_initial" s.Agents.Snoop.local_rto_initial;
   span_f b "rto_min" s.Agents.Snoop.local_rto_min;
   int_f b "max_retx" s.Agents.Snoop.max_local_retransmits
 
 let add_cross b name (pattern : Netsim.Cross_traffic.pattern option) =
   match pattern with
-  | None -> pf b " %s=none" name
+  | None -> str_f b name "none"
   | Some (Netsim.Cross_traffic.Cbr { rate; packet_bytes }) ->
     pf b " %s=cbr[%dbps,%dB]" name
       (Netsim.Units.bandwidth_to_bps rate)
@@ -121,7 +169,7 @@ let add_cross b name (pattern : Netsim.Cross_traffic.pattern option) =
 
 let add_fault_action b (action : Faults.Plan.action) =
   match action with
-  | Faults.Plan.Bs_crash -> pf b "bs_crash"
+  | Faults.Plan.Bs_crash -> add b "bs_crash"
   | Faults.Plan.Link_down { target; duration } ->
     pf b "link_down[%s,%dns]"
       (Faults.Plan.target_name target)
@@ -129,7 +177,7 @@ let add_fault_action b (action : Faults.Plan.action) =
   | Faults.Plan.Ack_blackout { duration } ->
     pf b "ack_blackout[%dns]" (Simtime.span_to_ns duration)
   | Faults.Plan.Ebsn_loss { count } -> pf b "ebsn_loss[%d]" count
-  | Faults.Plan.Ebsn_duplicate -> pf b "ebsn_duplicate"
+  | Faults.Plan.Ebsn_duplicate -> add b "ebsn_duplicate"
   | Faults.Plan.Ebsn_delay { delay } ->
     pf b "ebsn_delay[%dns]" (Simtime.span_to_ns delay)
   | Faults.Plan.Queue_squeeze { target; duration } ->
@@ -144,8 +192,8 @@ let add_fault_action b (action : Faults.Plan.action) =
    to a plain run, so the two cells really are the same cell. *)
 let add_faults b plan =
   match plan with
-  | None -> pf b "\nfaults none"
-  | Some p when Faults.Plan.is_empty p -> pf b "\nfaults none"
+  | None -> add b "\nfaults none"
+  | Some p when Faults.Plan.is_empty p -> add b "\nfaults none"
   | Some p ->
     pf b "\nfaults seed=%d" (Faults.Plan.seed p);
     List.iter
@@ -155,20 +203,23 @@ let add_faults b plan =
       (Faults.Plan.events p)
 
 let canonical ?faults (s : Scenario.t) =
-  let b = Buffer.create 768 in
-  pf b "engine %s" engine_version;
-  pf b "\nscheme %s" (Scenario.scheme_name s.Scenario.scheme);
+  (* Renderings run to about 1.2 KB: sized to need no growth. *)
+  let b = Buffer.create 1280 in
+  add b "engine ";
+  add b engine_version;
+  add b "\nscheme ";
+  add b (Scenario.scheme_name s.Scenario.scheme);
   add_wired b s.Scenario.wired;
   add_wireless b s.Scenario.wireless;
   add_arq b s.Scenario.arq;
-  pf b "\nlink";
+  add b "\nlink";
   bool_f b "uplink_arq" s.Scenario.uplink_arq;
   int_f b "frame_queue" s.Scenario.frame_queue_capacity;
   span_f b "reassembly_timeout" s.Scenario.reassembly_timeout;
   span_f b "resequence_timeout" s.Scenario.resequence_timeout;
   add_tcp b s.Scenario.tcp;
   add_snoop b s.Scenario.snoop;
-  pf b "\nfeedback";
+  add b "\nfeedback";
   (match s.Scenario.ebsn_pacing with
   | Feedback.Ebsn.Every_attempt -> str_f b "ebsn_pacing" "every_attempt"
   | Feedback.Ebsn.Min_interval i ->
@@ -181,10 +232,10 @@ let canonical ?faults (s : Scenario.t) =
     str_f b "quench" "on_backlog";
     int_f b "backlog" n);
   span_f b "quench_min_interval" s.Scenario.quench_min_interval;
-  pf b "\ncross";
+  add b "\ncross";
   add_cross b "up" s.Scenario.cross_up;
   add_cross b "down" s.Scenario.cross_down;
-  pf b "\nworkload";
+  add b "\nworkload";
   int_f b "file_bytes" s.Scenario.file_bytes;
   int_f b "seed" s.Scenario.seed;
   bool_f b "nstrace" s.Scenario.collect_nstrace;

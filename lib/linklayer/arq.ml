@@ -387,16 +387,14 @@ let set_obs t ~trace ~metrics =
   t.attempts_hist <- Obs.Registry.histogram metrics "arq.attempts"
 
 let check_invariants t =
-  Obs.Invariant.require ~name:"arq.window_slots"
-    (0 <= t.slots_held && t.slots_held <= t.cfg.window)
-    ~detail:(fun () ->
-      Printf.sprintf "%s: slots_held=%d window=%d" t.obs_comp t.slots_held
-        t.cfg.window);
-  Obs.Invariant.require ~name:"arq.inflight_consistent"
-    (t.slots_held = t.inflight_len)
-    ~detail:(fun () ->
-      Printf.sprintf "%s: slots_held=%d but %d entries in flight" t.obs_comp
-        t.slots_held t.inflight_len)
+  if not (0 <= t.slots_held && t.slots_held <= t.cfg.window) then
+    Obs.Invariant.fail ~name:"arq.window_slots"
+      (Printf.sprintf "%s: slots_held=%d window=%d" t.obs_comp t.slots_held
+         t.cfg.window);
+  if t.slots_held <> t.inflight_len then
+    Obs.Invariant.fail ~name:"arq.inflight_consistent"
+      (Printf.sprintf "%s: slots_held=%d but %d entries in flight" t.obs_comp
+         t.slots_held t.inflight_len)
 
 let stats t =
   {

@@ -225,19 +225,20 @@ let config t = t.cfg
 let name t = t.link_name
 
 let check_invariants t =
-  Obs.Invariant.require ~name:"link.frame_conservation"
-    (t.accepted
-    = Queue_drop_tail.drops t.queue
-      + Queue_drop_tail.length t.queue
-      + (if t.transmitting then 1 else 0)
-      + t.in_propagation + t.frames_lost + t.frames_delivered
-      + t.frames_blackholed)
-    ~detail:(fun () ->
-      Printf.sprintf
-        "%s: accepted=%d but drops=%d queued=%d transmitting=%b \
-         propagating=%d lost=%d delivered=%d blackholed=%d"
-        t.link_name t.accepted
-        (Queue_drop_tail.drops t.queue)
-        (Queue_drop_tail.length t.queue)
-        t.transmitting t.in_propagation t.frames_lost t.frames_delivered
-        t.frames_blackholed)
+  if
+    t.accepted
+    <> Queue_drop_tail.drops t.queue
+       + Queue_drop_tail.length t.queue
+       + (if t.transmitting then 1 else 0)
+       + t.in_propagation + t.frames_lost + t.frames_delivered
+       + t.frames_blackholed
+  then
+    Obs.Invariant.fail ~name:"link.frame_conservation"
+      (Printf.sprintf
+         "%s: accepted=%d but drops=%d queued=%d transmitting=%b \
+          propagating=%d lost=%d delivered=%d blackholed=%d"
+         t.link_name t.accepted
+         (Queue_drop_tail.drops t.queue)
+         (Queue_drop_tail.length t.queue)
+         t.transmitting t.in_propagation t.frames_lost t.frames_delivered
+         t.frames_blackholed)

@@ -31,7 +31,7 @@ let bucket_of v =
   if v <= 0.0 then 0
   else
     let _, e = Float.frexp v in
-    Stdlib.max 0 (Stdlib.min (bucket_count - 1) (e + exponent_bias))
+    Int.max 0 (Int.min (bucket_count - 1) (e + exponent_bias))
 
 let counter t name =
   if not t.live then { c_live = false; c_name = name; count = 0 }

@@ -5,13 +5,16 @@
      id <campaign id>\n
      spec <campaign spec line>\n
      cells <n>\n
-     done <idx> <payload key> <percent-encoded payload>\n
-     quar <idx> <attempts> <percent-encoded error>\n
+     done <idx> <payload key> <payload>\n
+     quar <idx> <attempts> <error>\n
 
    The header is written (and flushed) before any cell settles;
    completion records are appended as cells settle and flushed every
    few records.  A [done] record carries the cell's payload itself, so
-   a resume restores a campaign from this one file.  A process killed
+   a resume restores a campaign from this one file.  The payload or
+   error is the rest of its line, with '%' and '\n' percent-encoded;
+   records written when every byte outside [A-Za-z0-9._/=-] was
+   encoded decode the same way and still load.  A process killed
    mid-write can tear at most the final line (appends are
    prefix-durable for regular files), so a load drops an unterminated
    tail and treats anything unparseable -- a payload that does not
@@ -30,15 +33,19 @@ type loaded = { header : header; entries : entry option array }
 type t = { oc : out_channel }
 
 (* Percent-encoding for the payload and error fields, so every
-   record stays single-line and space-splittable. *)
+   record stays on one line. *)
+let hex_digit = "0123456789abcdef"
+
 let encode_token s =
   let b = Buffer.create (String.length s) in
   String.iter
     (fun c ->
       match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '/' | '-' | '=' ->
-        Buffer.add_char b c
-      | c -> Buffer.add_string b (Printf.sprintf "%%%02x" (Char.code c)))
+      | '%' | '\n' ->
+        Buffer.add_char b '%';
+        Buffer.add_char b hex_digit.[Char.code c lsr 4];
+        Buffer.add_char b hex_digit.[Char.code c land 15]
+      | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
 
@@ -100,6 +107,17 @@ let strip_prefix line prefix =
   then Some (String.sub line (np + 1) (String.length line - np - 1))
   else None
 
+(* "tag a b rest-of-line": a record's three space-free fields and its
+   free-text tail, which may hold spaces. *)
+let record_fields line =
+  let ( let* ) = Option.bind in
+  let cut from = String.index_from_opt line from ' ' in
+  let sub a b = String.sub line a (b - a) in
+  let* i = cut 0 in
+  let* j = cut (i + 1) in
+  let* k = cut (j + 1) in
+  Some (sub 0 i, sub (i + 1) j, sub (j + 1) k, sub (k + 1) (String.length line))
+
 let load ~path =
   match read_file path with
   | None -> Error "manifest unreadable"
@@ -129,13 +147,13 @@ let load ~path =
         let entries = Array.make cells None in
         List.iter
           (fun line ->
-            match String.split_on_char ' ' line with
-            | [ "done"; idx; key; payload ] -> (
+            match record_fields line with
+            | Some ("done", idx, key, payload) -> (
               match (int_of_string_opt idx, decode_token payload) with
               | Some i, Some payload when i >= 0 && i < cells ->
                 entries.(i) <- Some (Done { key; payload })
               | _ -> ())
-            | [ "quar"; idx; attempts; err ] -> (
+            | Some ("quar", idx, attempts, err) -> (
               match
                 ( int_of_string_opt idx,
                   int_of_string_opt attempts,

@@ -8,8 +8,11 @@
     be replayed against a different campaign shape) and the campaign
     spec — the single parseable line [wtcp resume] uses to rebuild the
     cells.  Each settled cell then appends one record: [done <idx>
-    <key> <payload>] or [quar <idx> <attempts> <error>], free text
-    percent-encoded so a record is one space-separated line.
+    <key> <payload>] or [quar <idx> <attempts> <error>].  The payload
+    or error is the rest of the line, with only ['%'] and newline
+    percent-encoded so a record stays one line; records from
+    manifests that encoded every byte outside [[A-Za-z0-9._/=-]] load
+    unchanged.
 
     Durability contract: the header is flushed before any cell runs;
     records are appended as cells settle and flushed every few

@@ -386,22 +386,22 @@ let restrict_available t bytes =
   t.available <- Int.min bytes t.total
 
 let check_invariants t =
-  Obs.Invariant.require ~name:"tcp.sequence_order"
-    (0 <= t.snd_una && t.snd_una <= t.snd_nxt && t.snd_nxt <= t.max_sent
-    && t.max_sent <= t.total)
-    ~detail:(fun () ->
-      Printf.sprintf "conn %d: una=%d nxt=%d max_sent=%d total=%d" t.conn
-        t.snd_una t.snd_nxt t.max_sent t.total);
-  Obs.Invariant.require ~name:"tcp.cwnd_floor"
-    (t.cc_state.Cc.cwnd >= float_of_int t.cfg.mss)
-    ~detail:(fun () ->
-      Printf.sprintf "conn %d: cwnd=%g < mss=%d" t.conn t.cc_state.Cc.cwnd
-        t.cfg.mss);
-  Obs.Invariant.require ~name:"tcp.timer_after_complete"
-    (not (t.is_complete && timer_pending t))
-    ~detail:(fun () ->
-      Printf.sprintf "conn %d: retransmission timer armed after completion"
-        t.conn)
+  if
+    not
+      (0 <= t.snd_una && t.snd_una <= t.snd_nxt && t.snd_nxt <= t.max_sent
+      && t.max_sent <= t.total)
+  then
+    Obs.Invariant.fail ~name:"tcp.sequence_order"
+      (Printf.sprintf "conn %d: una=%d nxt=%d max_sent=%d total=%d" t.conn
+         t.snd_una t.snd_nxt t.max_sent t.total);
+  if not (t.cc_state.Cc.cwnd >= float_of_int t.cfg.mss) then
+    Obs.Invariant.fail ~name:"tcp.cwnd_floor"
+      (Printf.sprintf "conn %d: cwnd=%g < mss=%d" t.conn t.cc_state.Cc.cwnd
+         t.cfg.mss);
+  if t.is_complete && timer_pending t then
+    Obs.Invariant.fail ~name:"tcp.timer_after_complete"
+      (Printf.sprintf "conn %d: retransmission timer armed after completion"
+         t.conn)
 
 module For_testing = struct
   let corrupt_sequence_state t = t.snd_una <- t.snd_nxt + 1

@@ -59,15 +59,15 @@ let test_equal_configs_collide () =
     "canonical renderings equal too" (Fingerprint.canonical a)
     (Fingerprint.canonical b)
 
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+  go 0
+
 let test_engine_version_salts_key () =
-  let s = small_wan () in
-  let canon = Fingerprint.canonical s in
   Alcotest.(check bool)
     "engine version appears in the canonical text" true
-    (let v = Fingerprint.engine_version in
-     let nv = String.length v and nc = String.length canon in
-     let rec go i = i + nv <= nc && (String.sub canon i nv = v || go (i + 1)) in
-     go 0)
+    (contains (Fingerprint.canonical (small_wan ())) Fingerprint.engine_version)
 
 let test_fault_plan_in_key () =
   let s = small_wan () in
@@ -88,6 +88,134 @@ let test_fault_plan_in_key () =
     "the plan seed is part of the identity" true
     (Fingerprint.key ~faults:(Fault_plan.make ~seed:6 [ ev ]) s
     <> Fingerprint.key ~faults:plan s)
+
+(* Keys pinned byte for byte: a change to the canonical rendering moves
+   one of these and must come with an [engine_version] bump, or every
+   existing cache entry and manifest record would be misread.  Between
+   them the cells reach every branch of [Fingerprint.canonical]. *)
+let golden_keys : (string * string * (unit -> string)) list =
+  let ms = Simtime.span_ms in
+  [
+    ( "wan defaults",
+      "a8b9b5dba017615e2df0abc4ccc9d548",
+      fun () -> Fingerprint.key (Scenario.wan ()));
+    ( "lan ebsn vegas",
+      "35a340ca0e8a951aca4656d9438299d8",
+      fun () ->
+        Fingerprint.key
+          (Scenario.with_cc (Scenario.lan ~scheme:Scenario.Ebsn ()) Tcp_config.Vegas)
+    );
+    ( "replay with cbr and on/off cross traffic",
+      "337f0048a469126a12df65bfe0cd6e02",
+      fun () ->
+        let s =
+          Scenario.wan ~scheme:Scenario.Snoop
+            ~error_mode:
+              (Scenario.Replay
+                 [ (Channel_state.Good, ms 2500); (Channel_state.Bad, ms 750) ])
+            ~seed:42 ()
+        in
+        Fingerprint.key
+          {
+            s with
+            Scenario.cross_up =
+              Some
+                (Cross_traffic.Cbr
+                   { rate = Units.kbps 16.0; packet_bytes = 512 });
+            cross_down =
+              Some
+                (Cross_traffic.On_off
+                   {
+                     rate = Units.kbps 24.0;
+                     packet_bytes = 40;
+                     mean_on = ms 300;
+                     mean_off = ms 1200;
+                   });
+          } );
+    ( "rare knobs",
+      "aab4d976e2854353b8a7f4b0f4da7860",
+      fun () ->
+        let s =
+          Scenario.wan ~scheme:Scenario.Quench
+            ~error_mode:Scenario.Deterministic ~seed:7 ()
+        in
+        Fingerprint.key
+          {
+            s with
+            Scenario.arq =
+              {
+                s.Scenario.arq with
+                Arq.backoff =
+                  Backoff.Binary_exponential { base = ms 10; cap = ms 640 };
+                scheduler = Sched.Round_robin;
+              };
+            tcp = { s.Scenario.tcp with Tcp_config.initial_ssthresh = Some 8192 };
+            uplink_arq = true;
+            ebsn_pacing = Ebsn.Min_interval (ms 50);
+            quench_trigger = Source_quench.On_backlog 3;
+            collect_nstrace = true;
+          } );
+    ( "chaos spec, every fault action",
+      "022c5dab130724e355a702d49bef9d2c",
+      fun () ->
+        let sp = List.hd (Chaos.specs ~plans:1 ~base_seed:9 ()) in
+        let at s action = { Fault_plan.after = Simtime.span_sec s; action } in
+        let plan =
+          Fault_plan.make ~seed:9
+            Fault_plan.
+              [
+                at 1.0 Bs_crash;
+                at 2.0 (Link_down { target = Down; duration = ms 400 });
+                at 3.0 (Ack_blackout { duration = ms 250 });
+                at 4.0 (Ebsn_loss { count = 3 });
+                at 5.0 Ebsn_duplicate;
+                at 6.0 (Ebsn_delay { delay = ms 80 });
+                at 7.0 (Queue_squeeze { target = Up; duration = ms 900 });
+                at 8.0 (Link_down { target = Both; duration = ms 100 });
+                at 9.0 (Handoff { blackout = ms 1500 });
+              ]
+        in
+        Fingerprint.key ~faults:plan sp.Chaos.scenario );
+  ]
+
+let test_golden_keys () =
+  List.iter
+    (fun (name, expected, key) -> Alcotest.(check string) name expected (key ()))
+    golden_keys
+
+(* The canonical text writes ints and float bit patterns with its own
+   decimal writers; they must print exactly what [%d] and [%Ld] do,
+   sign, zero and the extremes included. *)
+let prop_canonical_decimals =
+  let open QCheck2.Gen in
+  let ints = oneof [ int; oneofl [ 0; -1; 9; 10; -9; -10; max_int; min_int ] ] in
+  let floats =
+    oneof
+      [
+        float;
+        map2
+          (fun hi lo -> Int64.(float_of_bits (logxor (shift_left (of_int hi) 32) (of_int lo))))
+          int int;
+        map (fun k -> Int64.float_of_bits (Int64.of_int k)) (int_range (-30) 30);
+        oneofl [ 0.0; -0.0; infinity; neg_infinity; nan; max_float; -.max_float ];
+      ]
+  in
+  QCheck2.Test.make ~name:"fingerprint: decimals render as Printf does" ~count:500
+    ~print:(fun (i, f) -> Printf.sprintf "%d, %h" i f)
+    (pair ints floats)
+    (fun (i, f) ->
+      let s = small_wan () in
+      let s =
+        {
+          s with
+          Scenario.file_bytes = i;
+          wireless = { s.Scenario.wireless with Scenario.overhead_factor = f };
+        }
+      in
+      let canon = Fingerprint.canonical s in
+      contains canon (Printf.sprintf " file_bytes=%d seed=" i)
+      && contains canon
+           (Printf.sprintf " overhead=%Ld ber_good=" (Int64.bits_of_float f)))
 
 (* One named perturbation per knob family; qcheck picks the knob and
    a nonzero delta, and every pick must move the key. *)
@@ -649,6 +777,8 @@ let () =
             test_engine_version_salts_key;
           Alcotest.test_case "fault plan is part of the identity" `Quick
             test_fault_plan_in_key;
+          Alcotest.test_case "golden keys" `Quick test_golden_keys;
+          q prop_canonical_decimals;
           q prop_fingerprint_sensitivity;
           q prop_fingerprint_seed_only;
         ] );

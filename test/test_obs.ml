@@ -111,16 +111,21 @@ let test_trace_emit () =
   Alcotest.(check (option string)) "disabled trace keeps nothing" None
     (Obs.Trace.contents Obs.Trace.disabled)
 
-let test_invariant_require () =
-  Obs.Invariant.require ~name:"fine" true ~detail:(fun () ->
-      Alcotest.fail "detail must not be forced on success");
-  match
-    Obs.Invariant.require ~name:"broken" false ~detail:(fun () -> "why")
-  with
+let test_invariant_fail () =
+  (* The checker idiom: the detail is built only on the failing
+     branch. *)
+  let check ~name cond =
+    if not cond then Obs.Invariant.fail ~name (Printf.sprintf "why %d" 42)
+  in
+  check ~name:"fine" true;
+  match check ~name:"broken" false with
   | () -> Alcotest.fail "expected Violation"
-  | exception Obs.Invariant.Violation { name; detail } ->
+  | exception (Obs.Invariant.Violation { name; detail } as exn) ->
     Alcotest.(check string) "name" "broken" name;
-    Alcotest.(check string) "detail" "why" detail
+    Alcotest.(check string) "detail" "why 42" detail;
+    Alcotest.(check (option string)) "rendering"
+      (Some "invariant violated: broken (why 42)")
+      (Obs.Invariant.to_string exn)
 
 (* ------------------------------------------------------------------ *)
 (* Checked end-to-end runs                                             *)
@@ -159,6 +164,29 @@ let test_checked_equals_unchecked () =
   Alcotest.(check int) "same sends"
     plain.Wiring.sender_stats.Tcp_stats.packets_sent
     checked.Wiring.sender_stats.Tcp_stats.packets_sent
+
+let test_checked_allocates_nothing () =
+  (* Every registered checker runs after every event (uplink ARQ adds
+     the second ARQ checker), yet a passing check allocates nothing:
+     checked mode may cost only its one-off registrations. *)
+  let scenario =
+    { (Scenario.wan ~scheme:Scenario.Ebsn ~seed:3 ()) with Scenario.uplink_arq = true }
+  in
+  let run obs =
+    let w0 = Gc.minor_words () in
+    let o = Wiring.run ~obs scenario in
+    (Gc.minor_words () -. w0, o)
+  in
+  ignore (run Obs.Config.off);
+  let plain, o = run Obs.Config.off in
+  let checked, _ = run Obs.Config.checked in
+  Alcotest.(check bool)
+    (Printf.sprintf "enough events (%d)" o.Wiring.events_executed)
+    true
+    (o.Wiring.events_executed >= 5_000);
+  if checked > plain +. 256. then
+    Alcotest.failf "checked run allocated %.0f minor words, unchecked %.0f"
+      checked plain
 
 let test_mutation_canary () =
   (* The checker must bite: corrupt the sender's sequence state behind
@@ -304,13 +332,15 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "emit" `Quick test_trace_emit;
-          Alcotest.test_case "invariant require" `Quick test_invariant_require;
+          Alcotest.test_case "invariant fail" `Quick test_invariant_fail;
         ] );
       ( "checked",
         [
           Alcotest.test_case "wan+lan run clean" `Slow test_checked_runs_clean;
           Alcotest.test_case "checked equals unchecked" `Slow
             test_checked_equals_unchecked;
+          Alcotest.test_case "checked run allocates nothing" `Quick
+            test_checked_allocates_nothing;
           Alcotest.test_case "mutation canary" `Quick test_mutation_canary;
           Alcotest.test_case "monotonic stepping" `Quick
             test_time_monotonic_guard;

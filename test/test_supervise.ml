@@ -127,6 +127,39 @@ let test_manifest_torn_tail () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "stale engine version accepted"
 
+(* A record carries its payload as the rest of the line with only '%'
+   and newline escaped; a manifest written when spaces, ':' and ','
+   were escaped too still loads to the same cells. *)
+let test_manifest_escaping () =
+  with_dirs @@ fun ~store:_ ~manifests ->
+  let path = Campaign_manifest.path ~dir:manifests ~id:"esc" in
+  let payload = "c1 6212 4%x C1:a,b\nsecond line" in
+  let error = "Simulator.Fault: boom, with spaces" in
+  let t = Campaign_manifest.create ~path ~id:"esc" ~spec:"esc" ~cells:2 in
+  Campaign_manifest.append t ~idx:0 (Campaign_manifest.Done { key = "k0"; payload });
+  Campaign_manifest.append t ~idx:1
+    (Campaign_manifest.Quarantined { attempts = 2; error });
+  Campaign_manifest.close t;
+  let header =
+    "wtcp-campaign " ^ Fingerprint.engine_version ^ "\nid esc\nspec esc\ncells 2\n"
+  in
+  Alcotest.(check string) "compact records"
+    (header ^ "done 0 k0 c1 6212 4%25x C1:a,b%0asecond line\n"
+   ^ "quar 1 2 Simulator.Fault: boom, with spaces\n")
+    (read_all path);
+  write_all path
+    (header ^ "done 0 k0 c1%206212%204%25x%20C1%3aa%2cb%0asecond%20line\n"
+   ^ "quar 1 2 Simulator.Fault%3a%20boom%2c%20with%20spaces\n");
+  match Campaign_manifest.load ~path with
+  | Error msg -> Alcotest.failf "old-escaping load failed: %s" msg
+  | Ok m ->
+    Alcotest.(check bool) "old done record" true
+      (m.Campaign_manifest.entries.(0)
+      = Some (Campaign_manifest.Done { key = "k0"; payload }));
+    Alcotest.(check bool) "old quar record" true
+      (m.Campaign_manifest.entries.(1)
+      = Some (Campaign_manifest.Quarantined { attempts = 2; error }))
+
 (* Any payloads — spaces, '%', newlines, the empty string, arbitrary
    bytes — survive append/load exactly.  Tearing the final record at
    every cut inside its line leaves just that cell unsettled, before
@@ -724,6 +757,8 @@ let () =
             test_manifest_roundtrip;
           Alcotest.test_case "torn tail and stale engine" `Quick
             test_manifest_torn_tail;
+          Alcotest.test_case "compact records, old escaping loads" `Quick
+            test_manifest_escaping;
           qc qcheck_manifest_payload_roundtrip;
         ] );
       ( "supervisor",
